@@ -6,8 +6,9 @@ single-node DVFS step and transient core-offline outages) and asserts
 * determinism: replaying the same (seed, asym-seed) pair is
   byte-identical, down to per-taskloop elapsed times and the timeline's
   episode counters,
-* engine equivalence: the reference and incremental engines produce
-  byte-identical results under live speed mutation and core offlining,
+* engine equivalence: the production engine and the reference oracle
+  produce byte-identical results under live speed mutation and core
+  offlining,
 * the timeline actually fired (episodes observed, speeds mutated), and
 * adaptation pays: on the pinned seeds, ILAN with drift re-exploration
   ("ilan-adaptive") re-explores at least once and beats frozen-PTT ILAN
@@ -24,6 +25,7 @@ import json
 import sys
 
 from repro.interference.timeline import AsymmetrySpec
+from repro.runtime.reference import ReferenceRuntime
 from repro.runtime.runtime import OpenMPRuntime
 from repro.topology.presets import dual_socket_small
 from repro.workloads.synthetic import make_synthetic
@@ -46,13 +48,13 @@ def check(cond: bool, message: str, failures: list) -> None:
 
 
 def run_campaign(scheduler: str, spec: AsymmetrySpec, seed: int,
-                 timesteps: int, engine: str = "reference") -> dict:
+                 timesteps: int, runtime_type=OpenMPRuntime) -> dict:
     """One asymmetric campaign; returns a canonical report."""
     app = make_synthetic(work_seconds=0.05, mem_frac=0.6, gamma=0.8,
                          num_tasks=32, total_iters=128, region_mib=32,
                          timesteps=timesteps)
-    runtime = OpenMPRuntime(dual_socket_small(), scheduler, seed=seed,
-                            engine=engine, asym=spec, asym_seed=100 + seed)
+    runtime = runtime_type(dual_socket_small(), scheduler, seed=seed,
+                           asym=spec, asym_seed=100 + seed)
     result = runtime.run_application(app)
     timeline = runtime.last_ctx.asym
     reexplorations = 0
@@ -83,11 +85,11 @@ def verify_pattern(label: str, spec: AsymmetrySpec, seed: int,
     check(a == b, f"{label}: same-seed replay is byte-identical "
           f"({len(a)} bytes of canonical report)", failures)
 
-    incremental = run_campaign("ilan-adaptive", spec, seed, timesteps,
-                               engine="incremental")
-    check(json.dumps(incremental, sort_keys=True).encode() == a,
-          f"{label}: reference and incremental engines agree bit-for-bit",
-          failures)
+    oracle = run_campaign("ilan-adaptive", spec, seed, timesteps,
+                          runtime_type=ReferenceRuntime)
+    check(json.dumps(oracle, sort_keys=True).encode() == a,
+          f"{label}: production engine and reference oracle agree "
+          "bit-for-bit", failures)
 
     fired = sum(adaptive["episodes"].values())
     check(fired >= 1, f"{label}: the timeline fired ({adaptive['episodes']})",

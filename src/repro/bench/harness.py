@@ -3,13 +3,14 @@
 Three metric families, one document (:mod:`repro.bench.schema`):
 
 * **events/sec** — a seeded synthetic campaign simulated start-to-finish
-  under each slowdown engine on three machine scales: ``small`` (the
-  16-core dual-socket test machine), ``medium`` (the paper's 64-core
-  Zen 4) and ``large`` (a 1024-core, 64-node machine where the reference
-  engine's per-step full recompute is most expensive).  The simulated
-  results must be byte-identical across engines — the harness asserts it
-  on every run, so a perf number can never come from a diverged
-  simulation;
+  on the production (incremental) engine and on the reference engine it
+  is checked against (:mod:`repro.runtime.reference`), on three machine
+  scales: ``small`` (the 16-core dual-socket test machine), ``medium``
+  (the paper's 64-core Zen 4) and ``large`` (a 1024-core, 64-node machine
+  where the reference engine's per-step full recompute is most
+  expensive).  The simulated results must be byte-identical across
+  engines — the harness asserts it on every run, so a perf number can
+  never come from a diverged simulation;
 * **campaign wall time** — one cached experiment cell, cold (empty run
   cache) then warm (fully cached): the cache's reason to exist, measured;
 * **service latency** — client-side p50/p99 from a short closed-loop
@@ -29,6 +30,7 @@ from repro.bench.schema import SCHEMA_VERSION, environment_fingerprint, validate
 from repro.bench.timers import time_call
 from repro.errors import BenchError
 from repro.exp.runner import ExperimentConfig, Runner
+from repro.runtime.reference import ReferenceRuntime
 from repro.runtime.runtime import OpenMPRuntime
 from repro.serve.loadgen import run_summary
 from repro.topology.machine import GIB, MIB, MachineTopology
@@ -99,14 +101,15 @@ def _measure_events_per_sec(spec: CampaignSpec, repeats: int, seed: int) -> dict
     entry: dict = {"environment": environment_fingerprint()}
     totals: dict[str, float] = {}
     events_seen: set[int] = set()
-    for engine in ("reference", "incremental"):
+    for engine, runtime_type in (
+        ("reference", ReferenceRuntime),
+        ("incremental", OpenMPRuntime),
+    ):
         app = spec.app()
         best_wall = float("inf")
         events = 0
         for _ in range(repeats):
-            runtime = OpenMPRuntime(
-                spec.machine(), "baseline", seed=seed, engine=engine
-            )
+            runtime = runtime_type(spec.machine(), "baseline", seed=seed)
             result, wall = time_call(lambda: runtime.run_application(app))
             events = sum(tl.tasks_executed for tl in result.taskloops)
             best_wall = min(best_wall, wall)

@@ -16,7 +16,6 @@ import os
 from repro.exp.cache import default_cache_dir
 from repro.exp.journal import CampaignJournal
 from repro.exp.runner import ExperimentConfig
-from repro.runtime.context import ENGINES
 from repro.topology.hwloc import parse_topology
 from repro.topology.machine import MachineTopology
 from repro.topology.presets import (
@@ -78,13 +77,6 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> argparse.Argument
         "--no-cache",
         action="store_true",
         help="disable the persistent run cache (every run is re-simulated)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default=None,
-        help="slowdown recompute engine (default: $REPRO_ENGINE or "
-        "'reference'); 'incremental' is byte-identical and faster",
     )
     parser.add_argument(
         "--asym-spec",
@@ -199,7 +191,6 @@ def config_from_args(
         with_noise=not getattr(args, "no_noise", False),
         jobs=args.jobs if args.jobs is not None else env_cfg.jobs,
         cache_dir=cache_dir,
-        engine=getattr(args, "engine", None) or env_cfg.engine,
         asym_spec=getattr(args, "asym_spec", None) or env_cfg.asym_spec,
         asym_seed=(
             args.asym_seed

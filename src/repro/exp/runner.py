@@ -25,8 +25,6 @@ environment:
   ``REPRO_SEEDS``/``REPRO_ITERS``;
 * ``REPRO_JOBS`` — worker processes (default 1 = in-process);
 * ``REPRO_CACHE_DIR`` — persistent run-cache directory (default: none);
-* ``REPRO_ENGINE`` — slowdown recompute engine (``reference`` |
-  ``incremental``); orthogonal to scale, results are byte-identical;
 * ``REPRO_ASYM_SPEC`` — dynamic-asymmetry timeline spec (see
   :meth:`repro.interference.AsymmetrySpec.parse`; default: disabled);
 * ``REPRO_ASYM_SEED`` — seed for the asymmetry timeline, decoupling the
@@ -49,7 +47,6 @@ from repro.exp.journal import CampaignJournal
 from repro.exp.stats import Summary, summarize
 from repro.interference.noise import NoiseParams
 from repro.interference.timeline import AsymmetrySpec
-from repro.runtime.context import ENGINES
 from repro.runtime.results import AppRunResult
 from repro.runtime.runtime import OpenMPRuntime
 from repro.sim.rng import spawn_key
@@ -94,15 +91,10 @@ class ExperimentConfig:
     with_noise: bool = True
     jobs: int = 1
     cache_dir: str | None = None
-    engine: str = "reference"
     asym_spec: str | None = None
     asym_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ExperimentError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
         if self.asym_spec is not None:
             # fail fast on an unparsable spec, not mid-campaign
             AsymmetrySpec.parse(self.asym_spec)
@@ -120,20 +112,19 @@ class ExperimentConfig:
 
         Precedence: ``REPRO_FULL=1`` forces paper-parity scale (30 seeds,
         model-default timesteps) over ``REPRO_SEEDS``/``REPRO_ITERS``.
-        ``REPRO_JOBS``, ``REPRO_CACHE_DIR`` and ``REPRO_ENGINE`` are
-        orthogonal to scale and are honoured either way.  Later environment
-        changes never affect a config (or a :class:`Runner`) that was
-        already constructed.
+        ``REPRO_JOBS`` and ``REPRO_CACHE_DIR`` are orthogonal to scale
+        and are honoured either way.  Later environment changes never
+        affect a config (or a :class:`Runner`) that was already
+        constructed.
         """
         jobs = int(os.environ.get("REPRO_JOBS", "1"))
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-        engine = os.environ.get("REPRO_ENGINE") or "reference"
         asym_spec = os.environ.get("REPRO_ASYM_SPEC") or None
         asym_env = os.environ.get("REPRO_ASYM_SEED")
         asym_seed = int(asym_env) if asym_env else None
         if os.environ.get("REPRO_FULL") == "1":
             return ExperimentConfig(
-                jobs=jobs, cache_dir=cache_dir, engine=engine,
+                jobs=jobs, cache_dir=cache_dir,
                 asym_spec=asym_spec, asym_seed=asym_seed,
             )
         seeds = int(os.environ.get("REPRO_SEEDS", str(default_seeds)))
@@ -143,7 +134,6 @@ class ExperimentConfig:
             timesteps=int(iters) if iters else None,
             jobs=jobs,
             cache_dir=cache_dir,
-            engine=engine,
             asym_spec=asym_spec,
             asym_seed=asym_seed,
         )
@@ -178,13 +168,6 @@ class RunSpec:
     cell never collide; ``None`` leaves the key bit-identical to the
     pre-lease format.
 
-    ``engine`` selects the slowdown recompute strategy.  The engines are
-    byte-identical by contract, but a non-default engine still enters the
-    cache key (defence in depth: if the contract ever broke, a poisoned
-    cache entry could masquerade as a reference result).  ``"reference"``
-    leaves the key bit-identical to the pre-engine format, so existing
-    caches stay valid.
-
     ``asym``/``asym_seed`` attach a dynamic-asymmetry timeline to the
     run.  An enabled spec enters the cache key in its canonical
     ``describe()`` form (stable across parse spellings); a disabled or
@@ -199,7 +182,6 @@ class RunSpec:
     noise: NoiseParams | None
     topology: MachineTopology
     lease_bits: int | None = None
-    engine: str = "reference"
     asym: AsymmetrySpec | None = None
     asym_seed: int | None = None
 
@@ -207,8 +189,6 @@ class RunSpec:
         params: dict[str, object] = {}
         if self.lease_bits is not None:
             params["lease"] = self.lease_bits
-        if self.engine != "reference":
-            params["engine"] = self.engine
         if self.asym is not None and self.asym.enabled:
             params["asym"] = self.asym.describe()
         if self.asym_seed is not None:
@@ -246,17 +226,23 @@ def _make_scheduler(spec: RunSpec):
     return create_scheduler(spec.scheduler, allowed_nodes=mask)
 
 
-def execute_spec(spec: RunSpec) -> AppRunResult:
-    """Simulate one run from scratch (the worker-process entry point)."""
+def execute_spec(
+    spec: RunSpec, *, runtime_type: type[OpenMPRuntime] = OpenMPRuntime
+) -> AppRunResult:
+    """Simulate one run from scratch (the worker-process entry point).
+
+    ``runtime_type`` lets the equivalence suites replay a spec on the
+    differential oracle (:class:`repro.runtime.reference.ReferenceRuntime`);
+    every production caller leaves it at the default.
+    """
     app = make_benchmark(spec.benchmark, timesteps=spec.timesteps)
-    runtime = OpenMPRuntime(
+    runtime = runtime_type(
         spec.topology,
         scheduler=_make_scheduler(spec),
         seed=spec.seed,
         noise=spec.noise,
         asym=spec.asym,
         asym_seed=spec.asym_seed,
-        engine=spec.engine,
     )
     return runtime.run_application(app)
 
@@ -348,7 +334,6 @@ class Runner:
                 timesteps=cfg.timesteps,
                 noise=noise,
                 topology=self.topology,
-                engine=cfg.engine,
                 asym=asym,
                 asym_seed=cfg.asym_seed,
             )
@@ -471,7 +456,6 @@ class Runner:
                 noise=noise,
                 topology=self.topology,
                 lease_bits=lease_bits,
-                engine=cfg.engine,
                 asym=asym,
                 asym_seed=cfg.asym_seed,
             )

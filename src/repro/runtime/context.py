@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.counters.metrics import CounterBoard
-from repro.errors import SimulationError
 from repro.interference.model import InterferenceModel
 from repro.interference.noise import NoiseParams, NoiseProcess
 from repro.interference.timeline import AsymmetrySpec, AsymmetryTimeline
@@ -30,12 +29,7 @@ from repro.topology.distances import DistanceMatrix
 from repro.topology.machine import MachineTopology
 from repro.topology.presets import default_distances
 
-__all__ = ["ENGINES", "RunContext"]
-
-#: Recognised execution engines: the from-scratch reference recompute and
-#: the change-driven incremental recompute (byte-identical by contract;
-#: see repro.sim.incremental and tests/sim/test_engine_equivalence.py).
-ENGINES = ("reference", "incremental")
+__all__ = ["RunContext"]
 
 
 @dataclass
@@ -54,10 +48,9 @@ class RunContext:
     counters: CounterBoard
     params: OverheadParams
     noise: NoiseProcess
+    incremental: IncrementalInterference
     seed: int
     asym: AsymmetryTimeline | None = None
-    engine: str = "reference"
-    incremental: IncrementalInterference | None = None
     _rngs: dict[tuple[str, ...], np.random.Generator] = field(default_factory=dict)
 
     @staticmethod
@@ -74,7 +67,6 @@ class RunContext:
         trace: bool = False,
         counters: bool = True,
         page_bytes: int = DEFAULT_PAGE_BYTES,
-        engine: str = "reference",
     ) -> "RunContext":
         """Build a fresh run context for ``topology``.
 
@@ -82,15 +74,7 @@ class RunContext:
         Zen 4-calibrated models; noise and the asymmetry timeline default
         to disabled (``asym_seed`` lets experiments vary the timeline
         independently of the run seed; it defaults to ``seed``).
-        ``engine`` selects how per-step slowdowns are computed:
-        ``"reference"`` recomputes from scratch, ``"incremental"``
-        refreshes only cores whose node contention state changed —
-        byte-identical outputs by contract.
         """
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
         distances = distances or default_distances(topology)
         bandwidth = bandwidth or BandwidthModel.from_topology(topology)
         cache = CacheModel.from_topology(topology)
@@ -113,6 +97,7 @@ class RunContext:
             noise=NoiseProcess(
                 sim, states, noise_params or NoiseParams(), stream(seed, "noise")
             ),
+            incremental=IncrementalInterference(interference, states),
             seed=seed,
             asym=AsymmetryTimeline(
                 sim,
@@ -120,12 +105,6 @@ class RunContext:
                 asym_params or AsymmetrySpec(),
                 stream(seed if asym_seed is None else asym_seed, "asym"),
                 interference.node_of_core,
-            ),
-            engine=engine,
-            incremental=(
-                IncrementalInterference(interference, states)
-                if engine == "incremental"
-                else None
             ),
         )
         ctx.noise.start()

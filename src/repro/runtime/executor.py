@@ -88,14 +88,9 @@ class TaskloopExecutor:
             pool.worker_for_core(core).queue.extend(chunks)
 
         rng = ctx.rng("runtime", "steal")
-        if ctx.engine == "incremental":
-            executed, steals_local, steals_remote = self._loop_incremental(
-                work, plan, pool, rng, ledger
-            )
-        else:
-            executed, steals_local, steals_remote = self._loop_reference(
-                work, plan, pool, rng, ledger
-            )
+        executed, steals_local, steals_remote = self._loop(
+            work, plan, pool, rng, ledger
+        )
 
         # taskloop barrier: all active threads synchronise
         barrier = ctx.params.barrier_cost(plan.num_threads)
@@ -135,7 +130,7 @@ class TaskloopExecutor:
         return result
 
     # ------------------------------------------------------------------
-    def _loop_reference(
+    def _loop(
         self,
         work: TaskloopWork,
         plan: TaskloopPlan,
@@ -143,81 +138,11 @@ class TaskloopExecutor:
         rng: np.random.Generator,
         ledger: OverheadLedger,
     ) -> tuple[int, int, int]:
-        """The from-scratch dispatch-advance loop: the differential oracle.
+        """The change-driven dispatch-advance loop (the incremental engine).
 
-        Every step recomputes all slowdowns and scans every worker during
-        dispatch.  ``--engine=incremental`` (:meth:`_loop_incremental`)
-        must reproduce this loop's output bit for bit.
-        """
-        ctx = self.ctx
-        executed = 0
-        steals_local = 0
-        steals_remote = 0
-        total_chunks = plan.total_chunks
-
-        dispatched = self._dispatch_idle(work, plan, pool, rng, ledger)
-        steals_local += dispatched[0]
-        steals_remote += dispatched[1]
-
-        states = ctx.states
-        model = ctx.interference
-        sample_counters = ctx.counters.enabled
-        while executed < total_chunks:
-            if not states.any_active() and not (
-                # offline cores with timed events pending: availability (or
-                # stealability) can still change, so wait instead of dying
-                states.any_offline and not ctx.sim.events.is_empty()
-            ):
-                ctx.counters.abort()
-                raise SimulationError(
-                    f"deadlock: {total_chunks - executed} chunks of {work.uid!r} "
-                    "remain but no core can acquire work"
-                )
-            if sample_counters:
-                slowdown, saturation = model.slowdowns_and_saturation(states)
-            else:
-                slowdown = model.slowdowns(states)
-            times = states.completion_times(slowdown)
-            dt_complete = float(np.min(times))
-            dt_event = ctx.sim.events.next_time() - ctx.sim.now
-            dt = min(dt_complete, max(dt_event, 0.0))
-            if not math.isfinite(dt):
-                ctx.counters.abort()
-                raise SimulationError("no finite next step; simulation is stuck")
-            if sample_counters:
-                ctx.counters.step(
-                    dt, saturation, int(states.active.sum()), plan.num_threads
-                )
-            online_epoch = states.online_epoch
-            completed = states.advance(dt, slowdown)
-            ctx.sim.clock.advance(dt)
-            ctx.sim.run_due_events()
-            for core in completed:
-                running: _Running = states.finish(core)
-                running.access.commit()
-                executed += 1
-                self._trace_task(running, core)
-            if completed or states.online_epoch != online_epoch:
-                # cores freed by completions — or made eligible (returned
-                # online) / in need of replacement (went offline with queued
-                # work now only reachable by others) — get a dispatch pass
-                dispatched = self._dispatch_idle(work, plan, pool, rng, ledger)
-                steals_local += dispatched[0]
-                steals_remote += dispatched[1]
-        return executed, steals_local, steals_remote
-
-    def _loop_incremental(
-        self,
-        work: TaskloopWork,
-        plan: TaskloopPlan,
-        pool: WorkerPool,
-        rng: np.random.Generator,
-        ledger: OverheadLedger,
-    ) -> tuple[int, int, int]:
-        """The change-driven loop behind ``--engine=incremental``.
-
-        Same protocol as :meth:`_loop_reference`, with three hot-path
-        substitutions that are bit-identical by construction:
+        Bit-identical by construction to the from-scratch reference loop
+        (:class:`repro.runtime.reference.ReferenceExecutor`, the
+        differential oracle), with three hot-path substitutions:
 
         * slowdowns come from the :class:`~repro.sim.incremental.
           IncrementalInterference` cache (only dirty rows recomputed,
@@ -233,8 +158,6 @@ class TaskloopExecutor:
         ctx = self.ctx
         states = ctx.states
         inc = ctx.incremental
-        if inc is None:
-            raise SimulationError("incremental engine requested but not initialised")
         sim = ctx.sim
         events = sim.events
         clock = sim.clock
@@ -250,9 +173,7 @@ class TaskloopExecutor:
         # idle list starts as the pool's ascending core order
         idle = [w.core_id for w in pool]
         num_workers = len(idle)
-        sl, sr, idle = self._dispatch_idle_incremental(
-            work, plan, pool, rng, ledger, idle
-        )
+        sl, sr, idle = self._dispatch(work, plan, pool, rng, ledger, idle)
         steals_local += sl
         steals_remote += sr
         active_count = num_workers - len(idle)
@@ -362,7 +283,7 @@ class TaskloopExecutor:
                     if completed:
                         idle.extend(completed)
                         idle.sort()
-                    sl, sr, idle = self._dispatch_idle_incremental(
+                    sl, sr, idle = self._dispatch(
                         work, plan, pool, rng, ledger, idle
                     )
                     steals_local += sl
@@ -374,45 +295,7 @@ class TaskloopExecutor:
         return executed, steals_local, steals_remote
 
     # ------------------------------------------------------------------
-    def _dispatch_idle(
-        self,
-        work: TaskloopWork,
-        plan: TaskloopPlan,
-        pool: WorkerPool,
-        rng: np.random.Generator,
-        ledger: OverheadLedger,
-    ) -> tuple[int, int]:
-        """Give every idle participating core a task if one is available.
-
-        Loops until a full pass makes no progress, because one worker's
-        acquisition can expose work to another (e.g. a remote steal only
-        becomes legal once the thief's node is fully drained).
-        """
-        ctx = self.ctx
-        steals_local = 0
-        steals_remote = 0
-        active = ctx.states.active
-        # stable within a dispatch pass: no simulated time elapses here, so
-        # no online/offline event can fire mid-scan
-        online = ctx.states.online
-        progress = True
-        while progress and pool.any_work():
-            progress = False
-            for worker in pool:
-                if active[worker.core_id] or not online[worker.core_id]:
-                    continue
-                acq = plan.policy.acquire(worker, pool, rng, ctx.params, ledger)
-                if acq is None:
-                    continue
-                progress = True
-                if acq.source == "steal_local":
-                    steals_local += 1
-                elif acq.source == "steal_remote":
-                    steals_remote += 1
-                self._start_chunk(work, acq.chunk, worker, acq.overhead, acq.source, acq.victim_core)
-        return steals_local, steals_remote
-
-    def _dispatch_idle_incremental(
+    def _dispatch(
         self,
         work: TaskloopWork,
         plan: TaskloopPlan,
@@ -421,7 +304,11 @@ class TaskloopExecutor:
         ledger: OverheadLedger,
         idle: list[int],
     ) -> tuple[int, int, list[int]]:
-        """:meth:`_dispatch_idle` over a maintained idle-core list.
+        """Give every idle participating core a task if one is available.
+
+        Loops until a full pass makes no progress, because one worker's
+        acquisition can expose work to another (e.g. a remote steal only
+        becomes legal once the thief's node is fully drained).
 
         The reference scans every pool worker per pass and skips the
         active ones; since an ``acquire`` can only activate the acquiring

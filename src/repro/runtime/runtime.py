@@ -51,6 +51,9 @@ class ApplicationProtocol(Protocol):
 class OpenMPRuntime:
     """Simulated OpenMP runtime bound to a machine and a scheduler."""
 
+    #: Executor every taskloop encounter runs on.
+    executor_type: type[TaskloopExecutor] = TaskloopExecutor
+
     def __init__(
         self,
         topology: MachineTopology,
@@ -65,7 +68,6 @@ class OpenMPRuntime:
         asym_seed: int | None = None,
         trace: bool = False,
         page_bytes: int = DEFAULT_PAGE_BYTES,
-        engine: str = "reference",
     ):
         self.topology = topology
         self.scheduler = (
@@ -80,7 +82,6 @@ class OpenMPRuntime:
         self._asym_seed = asym_seed
         self._trace = trace
         self._page_bytes = page_bytes
-        self.engine = engine
         self.last_ctx: RunContext | None = None
 
     # ------------------------------------------------------------------
@@ -97,7 +98,6 @@ class OpenMPRuntime:
             asym_seed=self._asym_seed,
             trace=self._trace,
             page_bytes=self._page_bytes,
-            engine=self.engine,
         )
 
     def run_application(
@@ -116,7 +116,7 @@ class OpenMPRuntime:
         self.last_ctx = ctx
         self.scheduler.reset()
         app.setup(ctx)
-        executor = TaskloopExecutor(ctx)
+        executor = self.executor_type(ctx)
         result = AppRunResult(
             app_name=app.name,
             scheduler=self.scheduler.name,

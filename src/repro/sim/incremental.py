@@ -1,4 +1,4 @@
-"""Incremental slowdown recomputation: the ``--engine=incremental`` core.
+"""Incremental slowdown recomputation: the production engine's core.
 
 The reference engine (:meth:`repro.interference.model.InterferenceModel.
 slowdowns`) rebuilds every active core's slowdown from scratch on every
@@ -32,7 +32,8 @@ when recomputing it would be a no-op (its inputs — weights, latency,
 gamma, mem_frac and the ratio entries its nonzero weights select — are
 bitwise unchanged, and row-wise ``sum(axis=1)`` reductions are
 independent across rows).  The differential suite in
-``tests/sim/test_engine_equivalence.py`` pins this down run-for-run.
+``tests/sim/test_engine_equivalence.py`` pins this down run-for-run
+against the oracle in :mod:`repro.runtime.reference`.
 
 One caveat is inherited from the reference expression itself: a zero
 weight silences a dirty node's ratio only because ``0.0 * penalty == 0.0``
@@ -56,8 +57,8 @@ __all__ = ["IncrementalInterference"]
 class IncrementalInterference:
     """Cached, change-driven view of one machine's interference state.
 
-    Bound to one ``(model, states)`` pair; ``states.track_changes`` must
-    be on for the whole lifetime so no start/finish escapes the log.
+    Bound to one ``(model, states)`` pair, whose change log it is the
+    only consumer of: every start/finish since the last refresh is in it.
     """
 
     __slots__ = (
@@ -79,8 +80,6 @@ class IncrementalInterference:
             raise SimulationError("core states do not match this machine")
         self.model = model
         self.states = states
-        if not states.track_changes:
-            states.track_changes = True
         # caches mirror the all-idle reference outputs exactly
         self._s = np.ones(states.num_cores)
         self._ratio = np.ones(num_nodes)

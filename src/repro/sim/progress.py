@@ -27,8 +27,7 @@ choke point composes named multiplicative factor layers over the base
 speeds, maintains the offline mask, bumps :attr:`CoreStates.speed_epoch`
 so outstanding completion predictions are invalidated (the
 stale-prediction guard in :meth:`CoreStates.advance`), and records online
-transitions in the change log the incremental engine consumes — so both
-execution engines observe every change identically.
+transitions in the change log the incremental engine consumes.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ class CoreStates:
         "payload",
         "busy_time",
         "work_done",
-        "track_changes",
         "changed",
         "_layers",
         "_all_online",
@@ -142,16 +140,14 @@ class CoreStates:
         # for per-node performance tracing (the PTT's node statistics).
         self.busy_time = np.zeros(num_cores)
         self.work_done = np.zeros(num_cores)
-        # Change tracking for the incremental interference engine: when
-        # enabled, every start/finish records its core here, and so does
-        # every online/offline transition (an offline core stops issuing
-        # memory traffic, so its node's demand — and hence other cores'
+        # Change log for the incremental interference engine: every
+        # start/finish records its core here, and so does every
+        # online/offline transition (an offline core stops issuing memory
+        # traffic, so its node's demand — and hence other cores'
         # slowdowns — changes; see InterferenceModel.node_demand).  Pure
         # speed-factor changes still never alter slowdowns, so they bump
         # speed_epoch but stay out of the log.  The consumer
-        # (repro.sim.incremental) drains it; tracking defaults to off so
-        # the reference engine is untouched.
-        self.track_changes = False
+        # (repro.sim.incremental) drains it.
         self.changed: list[int] = []
         # named multiplicative speed layers composed by the choke point
         self._layers: dict[str, np.ndarray] = {}
@@ -191,8 +187,7 @@ class CoreStates:
         self.gamma[core] = gamma
         self.weights[core] = w
         self.payload[core] = payload
-        if self.track_changes:
-            self.changed.append(core)
+        self.changed.append(core)
 
     def finish(self, core: int) -> Any:
         """Retire the completed task on ``core``; returns its payload."""
@@ -207,8 +202,7 @@ class CoreStates:
         self.gamma[core] = 0.0
         self.weights[core] = 0.0
         self.payload[core] = None
-        if self.track_changes:
-            self.changed.append(core)
+        self.changed.append(core)
         return payload
 
     # ------------------------------------------------------------------
@@ -261,8 +255,7 @@ class CoreStates:
             return
         self.online = self._all_online if o.all() else o.copy()
         self.online_epoch += 1
-        if self.track_changes:
-            self.changed.extend(int(c) for c in flipped)
+        self.changed.extend(int(c) for c in flipped)
         self._recompute_speed()
 
     def _recompute_speed(self) -> None:

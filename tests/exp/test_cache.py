@@ -1,5 +1,6 @@
 """Tests for the persistent content-addressed run cache."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,12 +17,18 @@ from repro.exp.cache import (
     run_to_json,
     topology_fingerprint,
 )
-from repro.exp.runner import RunSpec, default_noise, execute_spec
+from repro.exp.runner import (
+    ExperimentConfig,
+    Runner,
+    RunSpec,
+    default_noise,
+    execute_spec,
+)
 from repro.interference.noise import NoiseParams
 from repro.interference.timeline import AsymmetrySpec
 from repro.runtime.overhead import OverheadLedger
 from repro.runtime.results import AppRunResult, TaskloopResult
-from repro.topology.presets import single_node, tiny_two_node
+from repro.topology.presets import single_node, tiny_two_node, zen4_9354
 
 
 def synthetic_run(seed: int = 7) -> AppRunResult:
@@ -134,6 +141,32 @@ class TestAsymRunKey:
         assert self._spec(asym_seed=None).key() == base
         assert self._spec(asym_seed=7).key() != base
         assert self._spec(asym_seed=7).key() != self._spec(asym_seed=8).key()
+
+
+class TestPinnedRunKey:
+    """Literal digests: every cache entry already on disk must keep hitting.
+
+    A change to the key derivation (a new ``RunSpec`` field entering the
+    key unconditionally, a renamed parameter) silently turns every
+    existing cache — including a warm service fleet's — into misses.
+    """
+
+    def _spec(self):
+        runner = Runner(ExperimentConfig(seeds=1, timesteps=2), topology=zen4_9354())
+        return runner, runner.job_specs("cg", "ilan", seeds=1)[0]
+
+    def test_unleased_key(self):
+        runner, spec = self._spec()
+        assert spec.key(runner.topology_fp) == (
+            "eb9c5cac91a7132d5c40a3920d87314a00ebe516af0105e35065dc8befec3b78"
+        )
+
+    def test_leased_key(self):
+        runner, spec = self._spec()
+        leased = dataclasses.replace(spec, lease_bits=0b11)
+        assert leased.key(runner.topology_fp) == (
+            "fc45b6c6ae2e85a297f54e8396c976484f60e00e3a6b06782f9fea9ee36a2a48"
+        )
 
 
 class TestTopologyFingerprint:

@@ -33,6 +33,12 @@ class TestParser:
         args = _build_parser().parse_args(["fig2", "--no-noise"])
         assert args.no_noise
 
+    def test_engine_flag_is_unknown(self, capsys):
+        """One production engine: there is nothing left to select."""
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["fig2", "--engine", "reference"])
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
     def test_journal_with_no_cache_is_refused(self, tmp_path):
         """The journal's commit records promise cache persistence, so the
         combination is rejected up front — before the file is created."""

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.moldability import MoldabilityController, Phase
 from repro.core.ptt import TaskloopPTT
 from repro.interference.timeline import ASYMMETRY_PRESETS
+from repro.runtime.reference import ReferenceRuntime
 from repro.runtime.runtime import OpenMPRuntime
 from repro.topology.presets import default_distances, tiny_two_node, zen4_9354
 from repro.workloads.synthetic import make_synthetic
@@ -27,7 +28,7 @@ from repro.workloads.synthetic import make_synthetic
 # ----------------------------------------------------------------------
 # 1. same-seed asymmetric runs are byte-identical
 # ----------------------------------------------------------------------
-def _asym_run(preset, scheduler, seed, asym_seed, engine):
+def _asym_run(preset, scheduler, seed, asym_seed, runtime_type=OpenMPRuntime):
     app = make_synthetic(
         work_seconds=0.05,
         mem_frac=0.6,
@@ -37,11 +38,10 @@ def _asym_run(preset, scheduler, seed, asym_seed, engine):
         region_mib=32,
         timesteps=2,
     )
-    runtime = OpenMPRuntime(
+    runtime = runtime_type(
         tiny_two_node(),
         scheduler,
         seed=seed,
-        engine=engine,
         asym=ASYMMETRY_PRESETS[preset],
         asym_seed=asym_seed,
     )
@@ -55,11 +55,13 @@ def _asym_run(preset, scheduler, seed, asym_seed, engine):
     scheduler=st.sampled_from(["baseline", "ilan", "ilan-adaptive"]),
     seed=st.integers(min_value=0, max_value=1000),
     asym_seed=st.one_of(st.none(), st.integers(0, 50)),
-    engine=st.sampled_from(["reference", "incremental"]),
+    runtime_type=st.sampled_from([ReferenceRuntime, OpenMPRuntime]),
 )
-def test_same_seed_asym_runs_byte_identical(preset, scheduler, seed, asym_seed, engine):
-    a = _asym_run(preset, scheduler, seed, asym_seed, engine)
-    b = _asym_run(preset, scheduler, seed, asym_seed, engine)
+def test_same_seed_asym_runs_byte_identical(
+    preset, scheduler, seed, asym_seed, runtime_type
+):
+    a = _asym_run(preset, scheduler, seed, asym_seed, runtime_type)
+    b = _asym_run(preset, scheduler, seed, asym_seed, runtime_type)
     assert a == b  # exact float equality, no tolerance
 
 
@@ -73,8 +75,8 @@ def test_asym_seed_decouples_timeline_from_workload(preset, seed):
     two different asym seeds under the same run seed give different runs
     (with overwhelming probability over the sampled space), while the same
     asym seed replays exactly."""
-    a = _asym_run(preset, "baseline", seed, asym_seed=1, engine="reference")
-    b = _asym_run(preset, "baseline", seed, asym_seed=1, engine="reference")
+    a = _asym_run(preset, "baseline", seed, asym_seed=1)
+    b = _asym_run(preset, "baseline", seed, asym_seed=1)
     assert a == b
 
 

@@ -11,7 +11,12 @@ sequence the strategies can draw:
 * zero leaked leases on any incarnation after the drain;
 * replaying the same drawn seeds yields a byte-identical canonical
   report — detection, migration and respawn are pure functions of the
-  seeds and the logical clock.
+  seeds and the logical clock.  The replay property submits each job
+  only once the previous one is terminal: a heartbeat archives a
+  tenant's PTT checkpoint only if the tenant's job already finished on
+  its executor thread, so with jobs in flight the archive depends on
+  thread timing, not on the seeds.  The other two properties keep jobs
+  in flight across the crash.
 
 Each example runs a real (small) federation to a drained fixed point,
 so ``max_examples`` stays deliberately low.
@@ -60,8 +65,20 @@ def _config():
     )
 
 
-async def _run_scenario(params: dict) -> dict:
+async def _settle(router: FederationRouter, fed_id: str) -> None:
+    """Wait until ``fed_id`` is terminal, pumping the failure detector so a
+    job stranded on a silently crashed shard is recovered and finishes."""
+    while router.status(fed_id)["state"] not in ("completed", "failed"):
+        await router.pump_detection()
+        await asyncio.sleep(0.001)
+
+
+async def _run_scenario(params: dict, *, settle: bool = False) -> dict:
     """Drive one drawn join/leave/crash/respawn sequence to its fixed point.
+
+    With ``settle``, every job is waited for until terminal before the
+    next is submitted, so the fleet's state at each heartbeat is a
+    function of the seeds alone.
 
     Returns a canonical wall-clock-free report of everything observable:
     plan decisions, membership events, per-incarnation job counters,
@@ -115,10 +132,12 @@ async def _run_scenario(params: dict) -> dict:
                 and len(router.live_shards) > 2):
             await router.leave_shard(leave_shard)
             left = True
-        await router.submit(
+        job = await router.submit(
             JobRequest(benchmark="matmul", timesteps=2, nodes=1,
                        tenant=f"tenant-{i % params['tenants']}")
         )
+        if settle:
+            await asyncio.wait_for(_settle(router, job.fed_id), timeout=120)
     snapshot = await router.drain()
 
     return {
@@ -225,8 +244,8 @@ def test_confirmed_deaths_always_respawn_within_budget(params):
 @settings(max_examples=4, deadline=None)
 @given(params=scenarios)
 def test_same_seed_replay_is_byte_identical(params):
-    first = asyncio.run(_run_scenario(params))
-    second = asyncio.run(_run_scenario(params))
+    first = asyncio.run(_run_scenario(params, settle=True))
+    second = asyncio.run(_run_scenario(params, settle=True))
     a = json.dumps(first, sort_keys=True).encode()
     b = json.dumps(second, sort_keys=True).encode()
     assert a == b, "same drawn scenario diverged across replays"

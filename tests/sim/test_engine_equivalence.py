@@ -1,13 +1,14 @@
-"""Differential suite: the incremental engine is byte-identical, proven.
+"""Differential suite: the production engine is byte-identical, proven.
 
-``--engine=incremental`` (:mod:`repro.sim.incremental` plus the fused
+The production engine (:mod:`repro.sim.incremental` plus the fused
 executor loop) promises *bit-for-bit* the same simulation as the
 reference engine — same traces, same completion times, same counters,
-same steal decisions — with the reference path kept alive as the oracle.
-These tests pin that contract across hypothesis-generated task sets and
-seeded campaigns: schedulers, machines (including the single-node
-machine, which exercises the demand fast path's fallback), noise
-processes, node leases and injected runner faults.
+same steal decisions — with the reference path kept alive as the oracle
+(:mod:`repro.runtime.reference`).  These tests pin that contract across
+hypothesis-generated task sets and seeded campaigns: schedulers, machines
+(including the single-node machine, which exercises the demand fast
+path's fallback, and the paper's 64-core Zen 4 running every paper
+benchmark), noise processes, node leases and injected runner faults.
 
 The suites below total well over 200 generated scenarios, every one
 compared field-for-field with ``==`` / ``array_equal`` — no tolerances
@@ -21,14 +22,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TransientRunnerError
-from repro.exp.runner import ExperimentConfig, Runner, RunSpec, derive_run_seed, execute_spec
+from repro.exp.cache import run_to_json
+from repro.exp.runner import (
+    ExperimentConfig,
+    Runner,
+    RunSpec,
+    default_noise,
+    derive_run_seed,
+    execute_spec,
+)
 from repro.interference.noise import NoiseParams
 from repro.interference.timeline import ASYMMETRY_PRESETS, AsymmetrySpec
 from repro.runtime.context import RunContext
-from repro.runtime.executor import TaskloopExecutor
+from repro.runtime.reference import ReferenceRuntime
 from repro.runtime.runtime import OpenMPRuntime
 from repro.runtime.schedulers import create_scheduler
-from repro.topology.presets import dual_socket_small, single_node, tiny_two_node
+from repro.topology.presets import (
+    dual_socket_small,
+    single_node,
+    tiny_two_node,
+    zen4_9354,
+)
+from repro.workloads.registry import PAPER_ORDER
 from repro.workloads.synthetic import make_synthetic
 from tests.conftest import make_work
 
@@ -39,6 +54,10 @@ PRESETS = {
 }
 
 SCHEDULERS = ("baseline", "ilan", "ilan-nomold", "worksharing")
+
+#: The production runtime and the differential oracle.
+PRODUCTION = OpenMPRuntime
+ORACLE = ReferenceRuntime
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +129,7 @@ def taskset_params(draw):
     )
 
 
-def _run_taskloops(engine: str, params: dict):
+def _run_taskloops(engine: type[OpenMPRuntime], params: dict):
     noise = (
         NoiseParams(
             mean_interval=0.004,
@@ -126,11 +145,10 @@ def _run_taskloops(engine: str, params: dict):
         seed=params["seed"],
         trace=True,
         noise_params=noise,
-        engine=engine,
     )
     sched = create_scheduler(params["scheduler"])
     sched.reset()
-    executor = TaskloopExecutor(ctx)
+    executor = engine.executor_type(ctx)
     results = []
     # several encounters in one context: the all-idle reset between loops
     # and the PTT's cross-encounter learning both stay on the same bits
@@ -157,8 +175,8 @@ def _run_taskloops(engine: str, params: dict):
 def test_taskset_byte_identical(params):
     """Arbitrary task sets: traces, completion times, counters, steals —
     all bitwise equal between the engines."""
-    ctx_ref, res_ref = _run_taskloops("reference", params)
-    ctx_inc, res_inc = _run_taskloops("incremental", params)
+    ctx_ref, res_ref = _run_taskloops(ORACLE, params)
+    ctx_inc, res_inc = _run_taskloops(PRODUCTION, params)
     assert len(res_ref) == len(res_inc)
     for r1, r2 in zip(res_ref, res_inc):
         assert_taskloop_identical(r1, r2)
@@ -181,7 +199,7 @@ def campaign_params(draw):
     )
 
 
-def _run_campaign(engine: str, params: dict):
+def _run_campaign(engine: type[OpenMPRuntime], params: dict):
     app = make_synthetic(
         work_seconds=0.05,
         mem_frac=0.6,
@@ -193,12 +211,11 @@ def _run_campaign(engine: str, params: dict):
         region_mib=32,
         timesteps=params["timesteps"],
     )
-    runtime = OpenMPRuntime(
+    runtime = engine(
         PRESETS[params["preset"]](),
         params["scheduler"],
         seed=params["seed"],
         trace=True,
-        engine=engine,
         noise=(
             NoiseParams(mean_interval=0.01, mean_duration=0.004)
             if params["noisy"]
@@ -214,8 +231,8 @@ def _run_campaign(engine: str, params: dict):
 def test_campaign_byte_identical(params):
     """Whole applications (timestep loops, serial phases, noise): the two
     engines produce the same run, bit for bit."""
-    ctx_ref, res_ref = _run_campaign("reference", params)
-    ctx_inc, res_inc = _run_campaign("incremental", params)
+    ctx_ref, res_ref = _run_campaign(ORACLE, params)
+    ctx_inc, res_inc = _run_campaign(PRODUCTION, params)
     assert_results_identical(res_ref, res_inc)
     assert_contexts_identical(ctx_ref, ctx_inc)
 
@@ -238,7 +255,7 @@ def asym_campaign_params(draw):
     )
 
 
-def _run_asym_campaign(engine: str, params: dict):
+def _run_asym_campaign(engine: type[OpenMPRuntime], params: dict):
     app = make_synthetic(
         work_seconds=0.05,
         mem_frac=0.6,
@@ -248,12 +265,11 @@ def _run_asym_campaign(engine: str, params: dict):
         region_mib=32,
         timesteps=params["timesteps"],
     )
-    runtime = OpenMPRuntime(
+    runtime = engine(
         PRESETS[params["preset"]](),
         params["scheduler"],
         seed=params["seed"],
         trace=True,
-        engine=engine,
         noise=(
             NoiseParams(mean_interval=0.01, mean_duration=0.004)
             if params["noisy"]
@@ -272,8 +288,8 @@ def test_asym_campaign_byte_identical(params):
     """Seeded asymmetry timelines — every preset, all schedulers (incl.
     the drift-re-exploring one), noise on top: the incremental engine must
     track every mid-run speed mutation and offline flip bit for bit."""
-    ctx_ref, res_ref = _run_asym_campaign("reference", params)
-    ctx_inc, res_inc = _run_asym_campaign("incremental", params)
+    ctx_ref, res_ref = _run_asym_campaign(ORACLE, params)
+    ctx_inc, res_inc = _run_asym_campaign(PRODUCTION, params)
     assert_results_identical(res_ref, res_inc)
     assert_contexts_identical(ctx_ref, ctx_inc)
 
@@ -287,7 +303,7 @@ def test_offline_while_core_occupied_byte_identical():
         offline_interval=0.02, offline_duration=0.5, max_offline_fraction=0.45
     )
     per_engine = []
-    for engine in ("reference", "incremental"):
+    for engine in (ORACLE, PRODUCTION):
         app = make_synthetic(
             work_seconds=0.2,
             mem_frac=0.6,
@@ -297,12 +313,11 @@ def test_offline_while_core_occupied_byte_identical():
             region_mib=32,
             timesteps=2,
         )
-        runtime = OpenMPRuntime(
+        runtime = engine(
             tiny_two_node(),
             "baseline",  # keeps every core occupied: outages hit busy cores
             seed=11,
             trace=True,
-            engine=engine,
             asym=spec,
         )
         result = runtime.run_application(app)
@@ -325,19 +340,19 @@ def test_offline_while_core_occupied_byte_identical():
 def test_leased_spec_byte_identical(seed_index, lease, timesteps):
     """RunSpec execution (the cache/service path), with and without a
     NUMA-node lease confining the scheduler."""
-    results = []
-    for engine in ("reference", "incremental"):
-        spec = RunSpec(
-            benchmark="matmul",
-            scheduler="ilan",
-            seed=derive_run_seed("matmul", "ilan", seed_index),
-            timesteps=timesteps,
-            noise=None,
-            topology=dual_socket_small(),
-            lease_bits=lease,
-            engine=engine,
-        )
-        results.append(execute_spec(spec))
+    spec = RunSpec(
+        benchmark="matmul",
+        scheduler="ilan",
+        seed=derive_run_seed("matmul", "ilan", seed_index),
+        timesteps=timesteps,
+        noise=None,
+        topology=dual_socket_small(),
+        lease_bits=lease,
+    )
+    results = [
+        execute_spec(spec, runtime_type=ReferenceRuntime),
+        execute_spec(spec),
+    ]
     assert_results_identical(results[0], results[1])
 
 
@@ -352,29 +367,58 @@ def test_leased_spec_byte_identical(seed_index, lease, timesteps):
 def test_faulted_runs_byte_identical(seed_count, failures):
     """Transient runner faults + the retry a service worker would issue:
     the recomputed results match the reference engine bit for bit."""
-    per_engine = []
-    for engine in ("reference", "incremental"):
-        cfg = ExperimentConfig(
-            seeds=seed_count, timesteps=1, with_noise=True, engine=engine
-        )
-        runner = Runner(cfg, topology=tiny_two_node())
-        specs = runner.job_specs("matmul", "ilan", seeds=seed_count)
-        remaining = [failures]
+    cfg = ExperimentConfig(seeds=seed_count, timesteps=1, with_noise=True)
+    runner = Runner(cfg, topology=tiny_two_node())
+    specs = runner.job_specs("matmul", "ilan", seeds=seed_count)
+    remaining = [failures]
 
-        def hook(_specs):
-            if remaining[0] > 0:
-                remaining[0] -= 1
-                raise TransientRunnerError("injected fault")
+    def hook(_specs):
+        if remaining[0] > 0:
+            remaining[0] -= 1
+            raise TransientRunnerError("injected fault")
 
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                results = runner.run_specs(specs, fault_hook=hook)
-                break
-            except TransientRunnerError:
-                assert attempts <= failures  # must not fail forever
-        per_engine.append(results)
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            results = runner.run_specs(specs, fault_hook=hook)
+            break
+        except TransientRunnerError:
+            assert attempts <= failures  # must not fail forever
+    per_engine = [
+        [execute_spec(spec, runtime_type=ReferenceRuntime) for spec in specs],
+        results,
+    ]
     assert len(per_engine[0]) == len(per_engine[1]) == seed_count
     for r1, r2 in zip(per_engine[0], per_engine[1]):
         assert_results_identical(r1, r2)
+
+
+# ----------------------------------------------------------------------
+# suite 5: the paper's machine and benchmarks, as campaigns run them
+# ----------------------------------------------------------------------
+PAPER_SCHEDULERS = ("baseline", "ilan", "ilan-nomold", "ilan-adaptive", "worksharing")
+
+
+def test_paper_grid_byte_identical():
+    """Every paper benchmark (NPB, Matmul, LULESH models) under every
+    paper scheduler on the 64-core Zen 4, with the campaigns' default
+    noise: production :func:`execute_spec` and the oracle serialise to
+    the same run-cache bytes."""
+    topology = zen4_9354()
+    for benchmark in PAPER_ORDER:
+        for scheduler in PAPER_SCHEDULERS:
+            spec = RunSpec(
+                benchmark=benchmark,
+                scheduler=scheduler,
+                seed=derive_run_seed(benchmark, scheduler, 0),
+                timesteps=1,
+                noise=default_noise(),
+                topology=topology,
+            )
+            oracle = execute_spec(spec, runtime_type=ReferenceRuntime)
+            production = execute_spec(spec)
+            assert run_to_json(production) == run_to_json(oracle), (
+                benchmark,
+                scheduler,
+            )

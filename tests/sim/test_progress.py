@@ -235,7 +235,6 @@ class TestOnline:
         assert states.completion_times(np.ones(4))[0] == pytest.approx(2.5)
 
     def test_flips_land_in_change_log(self, states):
-        states.track_changes = True
         states.set_online(np.array([True, False, False, True]))
         assert states.changed == [1, 2]
         states.changed.clear()
