@@ -16,13 +16,13 @@ each with its own topology, arbiter, fault plan and metrics — behind a
   the ring's next choice, never touching the FIFO head — the per-shard
   strict-FIFO no-starvation invariant survives every rebalance;
 * a seeded ``shard_crash`` fault
-  (:class:`~repro.serve.federation.faults.ShardFaultPlan`) kills a whole
-  shard mid-run: its leases are reclaimed, its jobs requeue through the
-  router, and the run replays byte-identically;
-* an optional **self-healing** layer: the logical-clock failure detector
-  (:class:`~repro.serve.federation.membership.Membership`) finds silent
+  (:class:`~repro.serve.federation.faults.ShardFaultPlan`) stops a whole
+  shard silently mid-run, and the run replays byte-identically;
+* **self-healing** on every fleet: the logical-clock failure detector
+  (:class:`~repro.serve.federation.membership.Membership`) finds those
   crashes by missed heartbeat polls, displaced tenants' PTT checkpoints
-  migrate warm to their new owners, and the supervisor
+  migrate warm to their new owners, the orphaned jobs requeue through
+  the router, and an optional supervisor
   (:class:`~repro.serve.federation.supervisor.ShardSupervisor`) respawns
   confirmed-dead shards at a new epoch through the live-join path.
 

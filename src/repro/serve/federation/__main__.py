@@ -6,11 +6,12 @@ Examples::
     python -m repro.serve.federation --shards 4 --high-water 8 \\
         --expose-shards          # each shard also gets its own port
     python -m repro.serve.federation --shards 3 --shard-crash 0.4 \\
-        --fault-seed 7           # seeded chaos: a whole shard may die
+        --fault-seed 7           # seeded chaos: a whole shard may die; the
+        # failure detector finds it by missed heartbeats, its tenants
+        # migrate warm and its jobs requeue on the survivors
     python -m repro.serve.federation --shards 3 --shard-crash 0.4 \\
-        --respawn 2 --heartbeat-every 5 --suspect-after 2  # self-healing:
-        # crashes are found by missed heartbeats, tenants migrate warm,
-        # and the supervisor respawns the dead shard at a new epoch
+        --respawn 2 --heartbeat-every 5 --suspect-after 2  # and the
+        # supervisor respawns each dead shard at a new epoch
 
 The router prints its bound address (and, with ``--expose-shards``, every
 shard's address) on startup; clients speak the same newline-JSON protocol
@@ -29,6 +30,7 @@ import contextlib
 import signal
 import sys
 
+from repro.errors import ReproError
 from repro.exp.cliopts import (
     add_campaign_arguments,
     add_machine_argument,
@@ -86,19 +88,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        "its own derived seed)")
     chaos.add_argument("--shard-crash", type=float, default=0.0,
                        metavar="PROB",
-                       help="probability that a whole shard dies at a seeded "
-                       "placement count (its jobs requeue elsewhere)")
+                       help="probability that a whole shard dies silently at "
+                       "a seeded placement count (once the failure detector "
+                       "confirms it, its jobs requeue elsewhere)")
     chaos.add_argument("--crash-after", type=int, nargs=2, default=(1, 4),
                        metavar=("MIN", "MAX"),
                        help="placement-count window a crashing shard's death "
                        "is drawn from (default 1 4)")
     chaos.add_argument("--fault-seed", type=int, default=0,
                        help="seed for both fault layers (default 0)")
-    healing = parser.add_argument_group("self-healing (membership layer)")
-    healing.add_argument("--membership", action="store_true",
-                         help="enable the logical-clock failure detector: "
-                         "seeded shard crashes turn silent and are found "
-                         "by missed heartbeats instead of router omniscience")
+    healing = parser.add_argument_group(
+        "self-healing (logical-clock failure detector and respawn)")
     healing.add_argument("--heartbeat-every", type=int, default=5,
                          metavar="PLACEMENTS",
                          help="poll every shard each N router placements "
@@ -115,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     healing.add_argument("--respawn", type=int, default=None, metavar="N",
                          help="supervise confirmed-dead shards: respawn each "
                          "up to N times at a new epoch with a fresh derived "
-                         "fault seed (implies --membership)")
+                         "fault seed (default: a confirmed-dead shard stays "
+                         "dead)")
     parser.add_argument("--snapshot-out", default=None, metavar="PATH",
                         help="after the drain, write the federated snapshot "
                         "to PATH (atomic tmp-file + rename write)")
@@ -125,66 +126,53 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def build_federation(args: argparse.Namespace) -> FederationService:
-    """Construct the fleet + router + front-end from parsed flags."""
-    probabilities = (
-        parse_fault_spec(args.fault_spec) if args.fault_spec is not None else None
-    )
-    shards = build_shards(
-        args.shards,
-        lambda: resolve_machine(args.machine),
+    """Construct the fleet + router + front-end from parsed flags.
+
+    Every constructor validates its own flags, so a bad value raises
+    here, before anything starts.
+    """
+    def topology():
+        return resolve_machine(args.machine)
+
+    recipe = dict(
         config=config_from_args(args, seeds_default=1),
         queue_capacity=args.queue_capacity,
         workers=args.workers,
         max_attempts=args.max_attempts,
         default_deadline_s=args.default_deadline,
-        fault_probabilities=probabilities,
+        fault_probabilities=(
+            parse_fault_spec(args.fault_spec) if args.fault_spec is not None else None
+        ),
         fault_seed=args.fault_seed,
     )
-    shard_plan = None
-    if args.shard_crash > 0.0:
-        lo, hi = args.crash_after
-        shard_plan = ShardFaultPlan(
+    lo, hi = args.crash_after
+    supervisor = None
+    if args.respawn is not None:
+        supervisor = ShardSupervisor(
+            respawn_factory(topology, **recipe), max_respawns=args.respawn
+        )
+    router = FederationRouter(
+        build_shards(args.shards, topology, **recipe),
+        seed=args.ring_seed,
+        vnodes=args.vnodes,
+        high_water=args.high_water,
+        shard_fault_plan=ShardFaultPlan(
             args.shard_crash,
             seed=args.fault_seed,
             min_placements=lo,
             max_placements=hi,
-        )
-    membership = None
-    supervisor = None
-    if args.membership or args.respawn is not None:
-        membership = Membership(
+        ),
+        membership=Membership(
             heartbeat_every=args.heartbeat_every,
             suspect_after=args.suspect_after,
             confirm_after=args.confirm_after,
-        )
-        if args.respawn is not None:
-            supervisor = ShardSupervisor(
-                respawn_factory(
-                    lambda: resolve_machine(args.machine),
-                    config=config_from_args(args, seeds_default=1),
-                    queue_capacity=args.queue_capacity,
-                    workers=args.workers,
-                    max_attempts=args.max_attempts,
-                    default_deadline_s=args.default_deadline,
-                    fault_probabilities=probabilities,
-                    fault_seed=args.fault_seed,
-                ),
-                max_respawns=args.respawn,
-            )
-    router = FederationRouter(
-        shards,
-        seed=args.ring_seed,
-        vnodes=args.vnodes,
-        high_water=args.high_water,
-        shard_fault_plan=shard_plan,
-        membership=membership,
+        ),
         supervisor=supervisor,
     )
     return FederationService(router)
 
 
-async def _serve(args: argparse.Namespace) -> int:
-    federation = build_federation(args)
+async def _serve(federation: FederationService, args: argparse.Namespace) -> int:
     host, port = await federation.start(
         args.host, args.port, expose_shards=args.expose_shards
     )
@@ -220,16 +208,15 @@ async def _serve(args: argparse.Namespace) -> int:
             f"{router['migrations']} migration(s), "
             f"{router['shard_deaths']} shard death(s)"
         )
-        membership = snapshot.get("membership")
-        if membership is not None:
-            respawns = membership.get("respawns") or {}
-            print(
-                f"self-healing: {membership['heartbeats']} heartbeat(s), "
-                f"{membership['deaths_confirmed']} confirmed death(s), "
-                f"{respawns.get('respawns_total', 0)} respawn(s), "
-                f"{membership['migrations_completed']} warm migration(s), "
-                f"{membership['migrations_dropped']} dropped"
-            )
+        membership = snapshot["membership"]
+        respawns = membership["respawns"] or {}
+        print(
+            f"self-healing: {membership['heartbeats']} heartbeat(s), "
+            f"{membership['deaths_confirmed']} confirmed death(s), "
+            f"{respawns.get('respawns_total', 0)} respawn(s), "
+            f"{membership['migrations_completed']} warm migration(s), "
+            f"{membership['migrations_dropped']} dropped"
+        )
         if args.snapshot_out:
             out = federation.persist_snapshot(args.snapshot_out)
             print(f"final federated snapshot written to {out}")
@@ -240,16 +227,14 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if args.confirm_after <= args.suspect_after:
-        raise SystemExit(
-            f"--confirm-after ({args.confirm_after}) must exceed "
-            f"--suspect-after ({args.suspect_after})"
-        )
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        federation = build_federation(args)
+    except (ReproError, ValueError) as exc:
+        parser.error(str(exc))  # a usage error (exit 2), not a traceback
     with contextlib.suppress(KeyboardInterrupt):
-        return asyncio.run(_serve(args))
+        return asyncio.run(_serve(federation, args))
     return 0
 
 

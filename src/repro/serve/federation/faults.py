@@ -12,8 +12,9 @@ shard at the same logical instant regardless of wall-clock timing — the
 byte-reproducibility of the federation smoke rests on this.
 
 The plan is pure decision state plus a tally; the router applies the
-crash (killing the shard, requeueing its orphans) and reports it back
-through :meth:`ShardFaultPlan.record_crash`.
+crash (the shard stops silently and its orphans wait for the failure
+detector to confirm the death) and reports it back through
+:meth:`ShardFaultPlan.record_crash`.
 """
 
 from __future__ import annotations

@@ -64,8 +64,8 @@ class MemberRecord:
 
     @property
     def instance_id(self) -> str:
-        """Epoch-qualified identity; epoch 0 keeps the bare id so the
-        first incarnation is wire-compatible with pre-membership runs."""
+        """Epoch-qualified identity; epoch 0 keeps the bare id
+        (``shard-1``), later incarnations add ``@e<epoch>``."""
         if self.epoch == 0:
             return self.member_id
         return f"{self.member_id}@e{self.epoch}"

@@ -11,27 +11,28 @@
 3. places the job on the first shard that admits it (failing over past
    ``queue_full`` rejections), and
 4. applies the consequences: a seeded shard crash due at this placement
-   count kills the shard (leases reclaimed, every non-terminal job
-   requeued through the router onto the next-preferred survivor), and a
-   shard past the admission high-water mark sheds its *youngest* waiting
-   jobs onto the ring's next choice.
+   count stops the shard *silently*, and a shard past the admission
+   high-water mark sheds its *youngest* waiting jobs onto the ring's next
+   choice.
 
-With a :class:`~repro.serve.federation.membership.Membership` attached,
-the fleet becomes **self-healing**.  Seeded crashes turn *silent*: the
-shard stops answering, its orphans stay stashed on the handle, and the
-router only learns of the death when the failure detector confirms it —
-after ``suspect_after`` missed heartbeat polls (SUSPECT, excluded from
-new placements) and then ``confirm_after`` (DEAD).  Confirmation
-triggers the recovery pipeline, in order: ring removal → **warm tenant
-state migration** (the archived PTT checkpoints pulled at earlier
-heartbeats are imported into each displaced tenant's new owner, and the
-affinity home is re-pointed there so the tenant's next job starts warm)
-→ stashed-orphan adoption (which lands on the freshly warmed owners) →
-supervised respawn through
-:class:`~repro.serve.federation.supervisor.ShardSupervisor`, readmitting
-the shard at ``epoch + 1`` via the normal join path.  Tenants whose
-shard died before their first checkpoint degrade gracefully to a fresh
-bootstrap and are tallied under ``migrations_dropped``.
+Every fleet runs a failure detector
+(:class:`~repro.serve.federation.membership.Membership`, heartbeat every
+5 placements, SUSPECT after 2 missed polls, DEAD after 3 unless the
+caller passes other thresholds).  A crashed shard's orphans stay stashed
+on its handle, and the router only learns of the death when the detector
+confirms it — after ``suspect_after`` missed heartbeat polls (SUSPECT,
+excluded from new placements) and then ``confirm_after`` (DEAD).
+Confirmation triggers the recovery pipeline, in order: ring removal →
+**warm tenant state migration** (the archived PTT checkpoints pulled at
+earlier heartbeats are imported into each displaced tenant's new owner,
+and the affinity home is re-pointed there so the tenant's next job
+starts warm) → stashed-orphan adoption (which lands on the freshly
+warmed owners) → with a
+:class:`~repro.serve.federation.supervisor.ShardSupervisor`, a respawn
+readmitting the shard at ``epoch + 1`` via the normal join path (without
+one, a confirmed-dead shard stays dead).  Tenants whose shard died
+before their first checkpoint degrade gracefully to a fresh bootstrap
+and are tallied under ``migrations_dropped``.
 
 Job identity is two-level: clients see stable federation ids
 (``fed-00001``); each placement maps the fed id to the current
@@ -120,27 +121,21 @@ class FederationRouter:
             raise ProtocolError(
                 f"high_water must be a positive queue depth, got {high_water}"
             )
-        if supervisor is not None and membership is None:
-            raise ProtocolError(
-                "a supervisor needs a membership layer: without a failure "
-                "detector no death is ever confirmed, so nothing respawns"
-            )
         #: Ring name → *current* incarnation.
         self.shards: dict[str, ShardHandle] = {s.shard_id: s for s in shards}
         #: Epoch-qualified instance id → every incarnation ever admitted
-        #: (epoch 0 keeps the bare id, so pre-membership keys are stable).
+        #: (epoch 0 keeps the bare id, so first-incarnation keys are stable).
         self.instances: dict[str, ShardHandle] = {s.instance_id: s for s in shards}
         self.ring = ConsistentHashRing(ids, seed=seed, vnodes=vnodes)
         self.affinity = AffinityPolicy()
         self.high_water = high_water
         self.shard_fault_plan = shard_fault_plan
-        self.membership = membership
+        self.membership = membership or Membership()
         self.supervisor = supervisor
-        if membership is not None:
-            for shard_id in sorted(self.shards):
-                membership.register(
-                    shard_id, epoch=self.shards[shard_id].epoch, at=0
-                )
+        for shard_id in sorted(self.shards):
+            self.membership.register(
+                shard_id, epoch=self.shards[shard_id].epoch, at=0
+            )
         self.jobs: dict[str, FederatedJob] = {}
         self._local_index: dict[tuple[str, str], str] = {}
         self._fed_counter = 0
@@ -177,10 +172,10 @@ class FederationRouter:
         return {s.shard_id for s in self.live_shards if s.depth >= self.high_water}
 
     def _placement_order(self, tenant: str) -> list[ShardHandle]:
-        placeable = {s.shard_id for s in self.live_shards}
-        if self.membership is not None:
-            # SUSPECT shards stay on the ring but take no new placements
-            placeable -= set(self.membership.suspects())
+        # SUSPECT shards stay on the ring but take no new placements
+        placeable = {s.shard_id for s in self.live_shards} - set(
+            self.membership.suspects()
+        )
         order = self.affinity.order(
             tenant,
             self.ring.preference(tenant),
@@ -200,14 +195,13 @@ class FederationRouter:
     async def drain(self) -> dict[str, Any]:
         """Gracefully drain every live shard; returns the federated snapshot.
 
-        With membership enabled, detection is flushed first: a shard that
-        crashed silently near the end of the run (after the last regular
-        heartbeat) is still confirmed, migrated and respawned before the
-        fleet drains, so no stashed orphan is ever left non-terminal.
+        Detection is flushed first: a shard that crashed silently near
+        the end of the run (after the last regular heartbeat) is still
+        confirmed, migrated and respawned before the fleet drains, so no
+        stashed orphan is ever left non-terminal.
         """
-        if self.membership is not None:
-            while self._undetected_crashes():
-                await self._heartbeat()
+        while self._undetected_crashes():
+            await self._heartbeat()
         for shard in self.live_shards:
             await shard.service.drain()
         return self.metrics_snapshot()
@@ -223,12 +217,11 @@ class FederationRouter:
         unconfirmed crash exists, so polling the very jobs a dead shard
         stranded is what drives their recovery.
         """
-        if self.membership is not None and self._undetected_crashes():
+        if self._undetected_crashes():
             await self._heartbeat()
 
     def _undetected_crashes(self) -> list[str]:
         """Shards that are down but not yet confirmed by the detector."""
-        assert self.membership is not None
         down = []
         for shard_id in sorted(self.shards):
             handle = self.shards[shard_id]
@@ -249,8 +242,8 @@ class FederationRouter:
         """Live join: start a new shard and admit it to the fleet.
 
         The ring gains its virtual nodes (minimal remap: only tenants the
-        new shard now owns move), and with membership enabled it starts
-        being heartbeat-polled immediately.
+        new shard now owns move), and it starts being heartbeat-polled
+        immediately.
         """
         await handle.start(expose=expose, host=host)
         self._admit(handle)
@@ -269,10 +262,9 @@ class FederationRouter:
         self.shards[handle.shard_id] = handle
         self.instances[handle.instance_id] = handle
         self.ring.add(handle.shard_id)
-        if self.membership is not None:
-            self.membership.register(
-                handle.shard_id, epoch=handle.epoch, at=self.placements
-            )
+        self.membership.register(
+            handle.shard_id, epoch=handle.epoch, at=self.placements
+        )
 
     async def leave_shard(self, shard_id: str) -> None:
         """Voluntary departure: clean handoff, nothing is lost.
@@ -292,8 +284,7 @@ class FederationRouter:
             )
         for doc in handle.service.tenant_state.export_all():
             self._state_archive[(doc["tenant"], doc["benchmark"])] = doc
-        if self.membership is not None:
-            self.membership.leave(shard_id, at=self.placements)
+        self.membership.leave(shard_id, at=self.placements)
         orphans = await handle.kill()
         self.ring.remove(shard_id)
         displaced = self.affinity.forget_shard(shard_id)
@@ -357,41 +348,31 @@ class FederationRouter:
         placed.placements += 1
 
         await self._apply_consequences(placed)
-        if self.membership is not None and self.membership.due(self.placements):
+        if self.membership.due(self.placements):
             await self._heartbeat()
         return job
 
     async def _apply_consequences(self, shard: ShardHandle) -> None:
         """Seeded crash + saturation rebalance due after a placement.
 
-        Without membership (PR 7 semantics) a due crash is applied
-        *loudly*: the router kills the shard and immediately requeues its
-        orphans, and those adoption placements can deterministically
-        trigger the next death — the worklist runs until the fleet is
-        quiescent.  With membership, a due crash is *silent*: the shard
-        just stops, and everything else — detection, migration, adoption,
-        respawn — happens later through the heartbeat path.  The last
-        live shard never crashes: a federation with work in flight must
-        keep at least one machine to conserve its jobs on.
+        A due crash is *silent*: the shard just stops, and everything
+        else — detection, migration, adoption, respawn — happens later
+        through the heartbeat path.  The last live shard never crashes: a
+        federation with work in flight must keep at least one machine to
+        conserve its jobs on.
         """
-        worklist: list[ShardHandle] = [shard]
-        while worklist:
-            current = worklist.pop(0)
-            if not current.alive:
-                continue
-            plan = self.shard_fault_plan
-            if (
-                plan is not None
-                and plan.should_crash(current.instance_id, current.placements)
-                and len(self.live_shards) > 1
-            ):
-                if self.membership is not None:
-                    plan.record_crash(current.instance_id)
-                    self.shard_deaths += 1
-                    await current.crash()
-                else:
-                    touched = await self._kill_shard(current)
-                    worklist.extend(touched)
+        plan = self.shard_fault_plan
+        if plan is not None and plan.should_crash(shard.instance_id, shard.placements):
+            # a crash still in progress counts as done: a concurrent
+            # placement must neither crash a shard twice nor take down
+            # the last one standing
+            standing = [
+                s for s in self.live_shards if s.instance_id not in plan.crashed
+            ]
+            if shard in standing and len(standing) > 1:
+                plan.record_crash(shard.instance_id)
+                self.shard_deaths += 1
+                await shard.crash()
         if self.high_water is not None:
             # scan the whole fleet, not just the placed shard: an adoption
             # burst can leave a *different* shard over the mark, and it
@@ -411,7 +392,6 @@ class FederationRouter:
         that stay silent accumulate missed polls until the detector
         confirms them dead, at which point recovery runs.
         """
-        assert self.membership is not None
         self.heartbeats += 1
         responders: list[str] = []
         for shard_id in sorted(self.shards):
@@ -502,34 +482,10 @@ class FederationRouter:
             touched.add(orphan.request.tenant)
         self.rebalanced_tenants += len(touched)
 
-    # ------------------------------------------------------------------
-    # shard death (loud / pre-membership path)
-    # ------------------------------------------------------------------
-    async def _kill_shard(self, shard: ShardHandle) -> list[ShardHandle]:
-        """Apply a due shard crash; returns the shards that adopted work."""
-        if self.shard_fault_plan is not None:
-            self.shard_fault_plan.record_crash(shard.instance_id)
-        self.shard_deaths += 1
-        orphans = await shard.kill()
-        self.ring.remove(shard.shard_id)
-        cold_tenants = set(self.affinity.forget_shard(shard.shard_id))
-        adopted: list[ShardHandle] = []
-        # requeue in fed-submission order so replays adopt identically
-        fed_order = sorted(
-            (self._local_index[(shard.instance_id, r.job_id)], r) for r in orphans
-        )
-        for fed_id, orphan in fed_order:
-            target = self._adopt(self.jobs[fed_id], orphan.request)
-            cold_tenants.add(orphan.request.tenant)
-            if target not in adopted:
-                adopted.append(target)
-        self.rebalanced_tenants += len(cold_tenants)
-        return adopted
-
     def _adopt(self, job: FederatedJob, request: JobRequest) -> ShardHandle:
         """Re-place one orphaned/evicted job on the best surviving shard."""
         order = self._placement_order(request.tenant)
-        assert order, "guarded: the last live shard is never killed"
+        assert order, "guarded: the last live shard never crashes"
         target = order[0]
         record = target.service.adopt(request)
         del self._local_index[(job.shard_id, job.local_job_id)]
@@ -641,13 +597,10 @@ class FederationRouter:
                 tally["queued"] += 1
         return tally
 
-    def membership_snapshot(self) -> dict[str, Any] | None:
+    def membership_snapshot(self) -> dict[str, Any]:
         """The self-healing section: detector view, respawns, migrations."""
-        if self.membership is None:
-            return None
-        detector = self.membership.describe()
         return {
-            "detector": detector,
+            "detector": self.membership.describe(),
             "heartbeats": self.heartbeats,
             "suspects": self.membership.suspects(),
             "deaths_confirmed": self.membership.deaths_confirmed,
@@ -674,7 +627,7 @@ class FederationRouter:
         conservation sums across both.
         """
         states = self.job_states()
-        snapshot = {
+        return {
             "router": {
                 "submitted": self._fed_counter,
                 "placements": self.placements,
@@ -708,11 +661,8 @@ class FederationRouter:
                 fed_id: self._job_wire(job)
                 for fed_id, job in sorted(self.jobs.items())
             },
+            "membership": self.membership_snapshot(),
         }
-        membership = self.membership_snapshot()
-        if membership is not None:
-            snapshot["membership"] = membership
-        return snapshot
 
     def _job_wire(self, job: FederatedJob) -> dict[str, Any]:
         wire = job.to_wire()

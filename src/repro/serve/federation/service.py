@@ -141,12 +141,7 @@ class FederationService:
             if op == "metrics":
                 return ok_response(metrics=self.router.metrics_snapshot())
             if op == "membership":
-                snapshot = self.router.membership_snapshot()
-                if snapshot is None:
-                    raise ProtocolError(
-                        "this federation runs without a membership layer"
-                    )
-                return ok_response(membership=snapshot)
+                return ok_response(membership=self.router.membership_snapshot())
             if op == "drain":
                 snapshot = await self.drain()
                 return ok_response(metrics=snapshot)

@@ -10,13 +10,13 @@ triggers seeded shard crashes), and an optional TCP listener so the load
 generator can drive an individual shard next to the router in the same
 sweep.
 
-With the membership layer, identity gains an **epoch**: the supervised
-respawn of a dead shard keeps the ring name (``shard_id``) but runs at
-``epoch + 1``, and everything keyed per shard downstream (fault
-decisions, local job ids, retired metrics) uses the epoch-qualified
+Identity carries an **epoch**: the supervised respawn of a dead shard
+keeps the ring name (``shard_id``) but runs at ``epoch + 1``, and
+everything keyed per shard downstream (fault decisions, local job ids,
+retired metrics) uses the epoch-qualified
 :attr:`ShardHandle.instance_id` so a respawn never collides with its
-ghost.  Epoch 0 keeps the bare id, so pre-membership reports are
-byte-identical.
+ghost.  Epoch 0 keeps the bare id (``shard-1``), so first-incarnation
+report keys never change.
 
 Per-shard fault seeds are derived from the fleet fault seed through the
 substream discipline (``stream(seed, "fed.shardseed", instance_id)``),
@@ -72,15 +72,15 @@ class ShardHandle:
         self.placements = 0
         self.host: str | None = None
         self.port: int | None = None
-        #: Orphans stashed by a *silent* crash (membership mode): the
-        #: router only learns of them when the failure detector confirms
-        #: the death, exactly like a real machine's unflushed state.
+        #: Orphans stashed by a crash: the router only learns of them
+        #: when the failure detector confirms the death, exactly like a
+        #: real machine's unflushed state.
         self.stashed_orphans: list[JobRecord] = []
 
     @property
     def instance_id(self) -> str:
-        """Epoch-qualified identity; epoch 0 keeps the bare id so the
-        first incarnation matches pre-membership wire output."""
+        """Epoch-qualified identity; epoch 0 keeps the bare id
+        (``shard-1``), later incarnations add ``@e<epoch>``."""
         if self.epoch == 0:
             return self.shard_id
         return f"{self.shard_id}@e{self.epoch}"
@@ -94,15 +94,15 @@ class ShardHandle:
             self.service.start_workers()
 
     async def kill(self) -> list[JobRecord]:
-        """Die loudly: mark dead, hard-stop the service, return the orphans."""
+        """Stop on purpose (a voluntary leave): mark dead, hard-stop the
+        service, and hand the orphans straight back to the caller."""
         self.alive = False
         return await self.service.kill()
 
     async def crash(self) -> None:
         """Die *silently*: the orphans are stashed on the handle, and the
         router finds out only when the failure detector confirms the
-        death (heartbeats go unanswered) — the membership-mode analogue
-        of :meth:`kill`.
+        death (heartbeats go unanswered).
 
         ``alive`` flips only after the kill finishes and the stash is
         set, in one synchronous segment.  Flipping it first opens a race:

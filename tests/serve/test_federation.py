@@ -170,6 +170,29 @@ def test_last_live_shard_never_crashes():
     asyncio.run(run())
 
 
+def test_concurrent_crashes_never_take_down_the_last_shard():
+    async def run():
+        # both shards die at their first placement; two concurrent
+        # submissions each hit one while the other's crash is in progress
+        plan = ShardFaultPlan(0.0, scheduled={"shard-0": 1, "shard-1": 1})
+        router = FederationRouter(_fleet(2), seed=0, shard_fault_plan=plan)
+        await router.start()
+        owners = {}
+        for i in range(64):
+            owners.setdefault(router.ring.owner(f"t{i}"), f"t{i}")
+        await asyncio.gather(
+            router.submit(_request(owners["shard-0"])),
+            router.submit(_request(owners["shard-1"])),
+        )
+        assert router.shard_deaths == 1
+        assert len(router.live_shards) == 1
+        await router.drain()
+        states = router.job_states()
+        assert states["completed"] + states["failed"] == 2
+
+    asyncio.run(run())
+
+
 def test_crash_forgets_affinity_homes():
     async def run():
         plan = ShardFaultPlan(1.0, seed=1, min_placements=3, max_placements=3)
@@ -179,6 +202,11 @@ def test_crash_forgets_affinity_homes():
             await router.submit(_request(f"t{i % 3}"))
         dead = {s.shard_id for s in router.shards.values() if not s.alive}
         assert dead
+        # the router forgets a dead shard's homes once the detector
+        # confirms the death, not at the (silent) crash itself
+        for _ in range(router.membership.confirm_after):
+            await router.pump_detection()
+        assert router.membership.deaths_confirmed == router.shard_deaths
         for home in router.affinity.homes().values():
             assert home not in dead
         await router.drain()
@@ -258,6 +286,18 @@ def test_federation_speaks_the_existing_protocol_over_tcp():
             metrics = await cli.metrics()
             assert metrics["router"]["submitted"] == 1
             assert metrics["jobs"][job_id]["state"] == "completed"
+            # every fleet runs the failure detector, so the op always answers
+            reply = await cli.request({"op": "membership"})
+            assert reply["ok"] is True
+            detector = reply["membership"]["detector"]
+            assert detector["config"] == {
+                "heartbeat_every": 5, "suspect_after": 2, "confirm_after": 3,
+            }
+            assert sorted(detector["members"]) == ["shard-0", "shard-1", "shard-2"]
+            assert all(
+                member["state"] == "alive"
+                for member in detector["members"].values()
+            )
         async with await ServiceClient.connect(host, port) as cli:
             snapshot = await cli.drain()
         _assert_conserved(snapshot)

@@ -410,17 +410,6 @@ def test_router_confirms_death_and_respawns_at_epoch_one():
     assert states["completed"] + states["failed"] == 8
 
 
-def test_router_supervisor_without_membership_is_rejected():
-    config = _fast_config()
-    shards = build_shards(2, dual_socket_small, config=config,
-                          queue_capacity=8, workers=1)
-    supervisor = ShardSupervisor(
-        respawn_factory(dual_socket_small, config=config,
-                        queue_capacity=8, workers=1))
-    with pytest.raises(ProtocolError):
-        FederationRouter(shards, supervisor=supervisor)
-
-
 def test_status_during_detection_window_answers_from_the_stash():
     """Between a silent crash and its confirmation, a crashed shard's
     non-terminal jobs live only in its stashed-orphan list (the dead
