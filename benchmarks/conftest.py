@@ -46,7 +46,8 @@ def run_once(benchmark, fn):
     invocation already aggregates many simulated runs, so repeated
     benchmark rounds would only re-measure the cache.  Timing goes
     through the repo's single wall-clock seam (:mod:`repro.bench.timers`)
-    so these figures and ``scripts/bench.py`` measure identically.
+    so these figures and ``scripts/run_experiments.py`` measure
+    identically.
     """
     benchmark._timer = timers.now
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

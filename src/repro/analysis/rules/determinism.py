@@ -18,8 +18,8 @@ __all__ = ["Det001WallClock", "Det002AmbientRng", "Det003TimeEquality",
 
 #: Packages whose behaviour must be a pure function of (inputs, seed):
 #: the simulator core, scheduler, runtime, experiment harness, the
-#: benchmark harness (whose *measurements* are wall time, but only via the
-#: explicitly annotated timer seam in repro.bench.timers), and the
+#: figure and campaign timer package (whose *measurements* are wall time,
+#: but only via the explicitly annotated seam in repro.bench.timers), and the
 #: federation tier (ring placement, crash schedules and migration are
 #: counted in logical placements, never seconds — a dotted entry, so the
 #: rest of ``serve`` keeps its real wall clock).

@@ -1,27 +1,11 @@
-"""Benchmark harness: seeded performance measurements of the simulator.
+"""Wall-clock timing for the paper-figure suite and the campaign script.
 
-The package behind ``scripts/bench.py``.  It measures simulator
-throughput (events/sec) for both slowdown engines on three synthetic
-campaign sizes, campaign wall time cold vs. warm cache, and service
-latency percentiles from a short load-generator run, and emits one
-versioned ``BENCH_<n>.json`` document (:mod:`repro.bench.schema`) that
-:mod:`repro.bench.compare` can diff against a previous run with a
-regression budget.
+The package holds one module, :mod:`repro.bench.timers`: the single
+annotated wall-clock seam that ``benchmarks/conftest.py`` and
+``scripts/run_experiments.py`` time through.  ``bench`` is one of the
+determinism lint's packages (DET001), so no other wall-time read can
+creep in here.
 
-Everything here is a pure function of its inputs and seeds *except* the
-wall-clock reads, which are confined to the single annotated seam in
-:mod:`repro.bench.timers` — the determinism lint (DET001) enforces that
-no other wall-time read creeps into the package.
+The repo's performance benchmark is ``perfbench/run.py``, run under the
+``BENCHMARK.json`` contract.
 """
-
-from repro.bench.compare import compare_documents
-from repro.bench.schema import SCHEMA_VERSION, validate
-from repro.bench.timers import now, time_call
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "compare_documents",
-    "now",
-    "time_call",
-    "validate",
-]

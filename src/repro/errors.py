@@ -50,11 +50,6 @@ class JournalError(ExperimentError):
     """
 
 
-class BenchError(ReproError):
-    """Raised by the benchmark harness: malformed BENCH documents or
-    invalid measurement/comparison requests."""
-
-
 class ServeError(ReproError):
     """Base class of the multi-tenant scheduling service's errors."""
 

@@ -31,6 +31,10 @@ service, client disconnects driven from this side of the wire::
 Under a fault plan, failed jobs are an expected outcome; the exit code
 instead asserts the recovery invariants — conservation of every submitted
 job and zero leaked leases after drain.
+
+Exit codes: 0 on success, 1 when a job failed (or, under a fault plan, a
+recovery invariant broke), 2 on a bad flag value — a usage error raised
+before any service starts, never a traceback.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ import json
 import random
 import sys
 import time
+from typing import TYPE_CHECKING
 
+from repro.errors import ReproError
 from repro.serve.client import ServiceClient
 from repro.serve.faults import FaultKind, FaultPlan
 from repro.serve.metrics import percentile
@@ -49,7 +55,10 @@ from repro.serve.protocol import AdmissionRejected, JobRequest
 from repro.sim.rng import pyrandom, stream
 from repro.workloads.registry import PAPER_ORDER
 
-__all__ = ["main", "run_summary"]
+if TYPE_CHECKING:  # pragma: no cover - the server loads only for --self-host
+    from repro.serve.server import SchedulingService
+
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,7 +126,7 @@ def _parse_endpoints(args: argparse.Namespace) -> list[tuple[str, int]]:
     if not args.connect:
         return [(args.host, args.port)]
     if args.self_host:
-        raise SystemExit(
+        raise ValueError(
             "--connect and --self-host are mutually exclusive: --connect "
             "drives already-running servers, --self-host starts its own"
         )
@@ -125,11 +134,11 @@ def _parse_endpoints(args: argparse.Namespace) -> list[tuple[str, int]]:
     for spec in args.connect:
         host, sep, port_text = spec.rpartition(":")
         if not sep or not host:
-            raise SystemExit(f"--connect wants HOST:PORT, got {spec!r}")
+            raise ValueError(f"--connect wants HOST:PORT, got {spec!r}")
         try:
             endpoints.append((host, int(port_text)))
         except ValueError:
-            raise SystemExit(
+            raise ValueError(
                 f"--connect port must be an integer, got {port_text!r}"
             ) from None
     return endpoints
@@ -244,7 +253,7 @@ def _build_plan(args: argparse.Namespace) -> FaultPlan | None:
     )
     server_kinds = set(plan.probabilities) - {FaultKind.CLIENT_DISCONNECT}
     if server_kinds and not args.self_host:
-        raise SystemExit(
+        raise ValueError(
             "--fault-spec with server-side kinds "
             f"({', '.join(sorted(k.value for k in server_kinds))}) requires "
             "--self-host: faults inject into the in-process service"
@@ -252,23 +261,32 @@ def _build_plan(args: argparse.Namespace) -> FaultPlan | None:
     return plan
 
 
-async def _run(args: argparse.Namespace) -> dict:
-    plan = _build_plan(args)
-    service = None
-    endpoints = _parse_endpoints(args)
-    if args.self_host:
-        from repro.exp.cliopts import resolve_machine
-        from repro.exp.runner import ExperimentConfig
-        from repro.serve.server import SchedulingService
+def _build_service(
+    args: argparse.Namespace, plan: FaultPlan | None
+) -> SchedulingService:
+    """The ``--self-host`` service, built (not started) so that its own
+    constructor validates the flags it consumes."""
+    from repro.exp.cliopts import resolve_machine
+    from repro.exp.runner import ExperimentConfig
+    from repro.serve.server import SchedulingService
 
-        service = SchedulingService(
-            resolve_machine(args.machine),
-            config=ExperimentConfig.from_env(),
-            queue_capacity=args.queue_capacity,
-            fault_plan=plan,
-            max_attempts=args.max_attempts,
-            default_deadline_s=args.deadline_s,
-        )
+    return SchedulingService(
+        resolve_machine(args.machine),
+        config=ExperimentConfig.from_env(),
+        queue_capacity=args.queue_capacity,
+        fault_plan=plan,
+        max_attempts=args.max_attempts,
+        default_deadline_s=args.deadline_s,
+    )
+
+
+async def _run(
+    args: argparse.Namespace,
+    endpoints: list[tuple[str, int]],
+    plan: FaultPlan | None,
+    service: SchedulingService | None,
+) -> dict:
+    if service is not None:
         endpoints = [await service.start(args.host, 0)]
 
     labels = [f"{host}:{port}" for host, port in endpoints]
@@ -450,19 +468,18 @@ def _exit_code(summary: dict) -> int:
     return 0 if summary["failed"] == 0 and conserved else 1
 
 
-def run_summary(argv: list[str] | None = None) -> dict:
-    """Run the load generator with CLI-style arguments; return its summary.
-
-    The programmatic entry point (used by the benchmark harness): same
-    flags as the CLI, no printing, no exit-code policy.
-    """
-    args = _build_parser().parse_args(argv)
-    return asyncio.run(_run(args))
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    summary = asyncio.run(_run(args))
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if not args.rate > 0:
+            raise ValueError(f"--rate must be positive, got {args.rate}")
+        endpoints = _parse_endpoints(args)
+        plan = _build_plan(args)
+        service = _build_service(args, plan) if args.self_host else None
+    except (ReproError, ValueError) as exc:
+        parser.error(str(exc))  # a usage error (exit 2), not a traceback
+    summary = asyncio.run(_run(args, endpoints, plan, service))
     if args.json:
         print(json.dumps(summary, indent=2))
     else:

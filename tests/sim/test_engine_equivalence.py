@@ -7,8 +7,9 @@ same steal decisions — with the reference path kept alive as the oracle
 (:mod:`repro.runtime.reference`).  These tests pin that contract across
 hypothesis-generated task sets and seeded campaigns: schedulers, machines
 (including the single-node machine, which exercises the demand fast
-path's fallback, and the paper's 64-core Zen 4 running every paper
-benchmark), noise processes, node leases and injected runner faults.
+path's fallback, the paper's 64-core Zen 4 running every paper
+benchmark, and a 1024-core, 64-node machine), noise processes, node
+leases and injected runner faults.
 
 The suites below total well over 200 generated scenarios, every one
 compared field-for-field with ``==`` / ``array_equal`` — no tolerances
@@ -18,6 +19,7 @@ anywhere: a single flipped mantissa bit anywhere in a run fails.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +39,7 @@ from repro.runtime.context import RunContext
 from repro.runtime.reference import ReferenceRuntime
 from repro.runtime.runtime import OpenMPRuntime
 from repro.runtime.schedulers import create_scheduler
+from repro.topology.machine import GIB, MIB, MachineTopology
 from repro.topology.presets import (
     dual_socket_small,
     single_node,
@@ -422,3 +425,45 @@ def test_paper_grid_byte_identical():
                 benchmark,
                 scheduler,
             )
+
+
+# ----------------------------------------------------------------------
+# suite 6: a wide machine, where the oracle's full recompute costs most
+# ----------------------------------------------------------------------
+def _wide_machine() -> MachineTopology:
+    """1024 cores over 64 NUMA nodes: 8 sockets x 8 nodes x 2 CCDs x 8."""
+    return MachineTopology.build(
+        name="wide-1024",
+        num_sockets=8,
+        nodes_per_socket=8,
+        ccds_per_node=2,
+        cores_per_ccd=8,
+        l3_bytes=32 * MIB,
+        mem_bytes_per_node=32 * GIB,
+        mem_bandwidth_per_node=40.0 * GIB,
+    )
+
+
+@pytest.mark.parametrize("scheduler", ["baseline", "ilan"])
+def test_wide_machine_byte_identical(scheduler):
+    """A clustered-imbalance synthetic loop of 1024 tasks on 64 nodes:
+    every taskloop field is equal between the engines, bit for bit."""
+    per_engine = []
+    for engine in (ORACLE, PRODUCTION):
+        app = make_synthetic(
+            name="wide",
+            work_seconds=2.0,
+            mem_frac=0.6,
+            blocked_fraction=1.0,
+            reuse=0.3,
+            gamma=0.8,
+            imbalance="clustered",
+            imbalance_cv=0.35,
+            num_tasks=1024,
+            total_iters=1024 * 8,
+            region_mib=2048,
+            timesteps=1,
+        )
+        runtime = engine(_wide_machine(), scheduler, seed=0)
+        per_engine.append(runtime.run_application(app))
+    assert_results_identical(per_engine[0], per_engine[1])
