@@ -33,6 +33,7 @@ recomputed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -80,8 +81,9 @@ def default_cache_dir() -> Path:
 # ----------------------------------------------------------------------
 # content hashing
 # ----------------------------------------------------------------------
-def _canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` with the
+#: encoder built once (``dumps`` builds a new one per call for these options)
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def topology_fingerprint(topology: MachineTopology) -> str:
@@ -113,6 +115,12 @@ def run_key(
 ) -> str:
     """Content hash addressing one (benchmark, scheduler, seed) run.
 
+    The key is the SHA-256 of the canonical JSON of the payload
+    ``{schema, benchmark, scheduler, scheduler_params, seed, timesteps,
+    noise, topology}``.  Everything but the seed is fixed per cell, so its
+    text comes from a memoised frame (:func:`_key_frame`) and only the
+    seed is encoded per call.
+
     ``topology`` accepts a pre-computed fingerprint string so callers
     hashing many runs on one machine pay for :func:`topology_fingerprint`
     once.
@@ -120,17 +128,61 @@ def run_key(
     topo_fp = (
         topology if isinstance(topology, str) else topology_fingerprint(topology)
     )
-    payload = {
+    prefix, suffix = _key_frame(
+        benchmark, scheduler, _canonical(dict(scheduler_params or {})),
+        timesteps, noise, repr(noise), topo_fp,
+    )
+    text = prefix + _canonical(seed) + suffix
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _key_frame(
+    benchmark: str,
+    scheduler: str,
+    params_text: str,
+    timesteps: int | None,
+    noise: NoiseParams | None,
+    noise_repr: str,
+    topology_fp: str,
+) -> tuple[str, str]:
+    """The canonical key text of one cell around its seed: ``(prefix, suffix)``.
+
+    Canonical JSON sorts keys, so the seed sits between ``schema`` and
+    ``timesteps``, and JSON text composes: a value encodes the same alone
+    as inside the payload.  The frame is checked against the encoder's
+    text of the full payload once, when it is built.
+
+    The memo keys on text where ``==`` is too coarse: values
+    that compare equal can encode differently (``1``, ``1.0``, ``True``).
+    ``typed`` separates them at the top level (``timesteps``),
+    ``params_text`` inside the parameters and ``noise_repr`` inside the
+    noise fields.
+    """
+    noise_dict = dataclasses.asdict(noise) if noise is not None else None
+    prefix = (
+        f'{{"benchmark":{_canonical(benchmark)},"noise":{_canonical(noise_dict)},'
+        f'"scheduler":{_canonical(scheduler)},"scheduler_params":{params_text},'
+        f'"schema":{_canonical(SCHEMA_VERSION)},"seed":'
+    )
+    suffix = (
+        f',"timesteps":{_canonical(timesteps)},"topology":{_canonical(topology_fp)}}}'
+    )
+    full = _canonical({
         "schema": SCHEMA_VERSION,
         "benchmark": benchmark,
         "scheduler": scheduler,
-        "scheduler_params": dict(scheduler_params or {}),
-        "seed": seed,
+        "scheduler_params": json.loads(params_text),
+        "seed": 0,
         "timesteps": timesteps,
-        "noise": dataclasses.asdict(noise) if noise is not None else None,
-        "topology": topo_fp,
-    }
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+        "noise": noise_dict,
+        "topology": topology_fp,
+    })
+    if prefix + "0" + suffix != full:
+        raise RuntimeError(
+            f"run-key frame disagrees with the canonical payload text: {full}"
+        )
+    return prefix, suffix
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +340,31 @@ def _encode_entry(key: str, result: AppRunResult) -> bytes:
     return header + b"\n" + payload
 
 
+#: read size of :func:`_read_file`: above most entries (a 1-timestep
+#: matmul run encodes to ~1.3 KB, a 2-timestep LULESH run to ~11 KB)
+_READ_BYTES = 1 << 16
+
+
+def _read_file(path: str) -> bytes:
+    """The bytes of the file at ``path``: one ``open``, ``read`` and
+    ``close`` for any entry shorter than :data:`_READ_BYTES`.
+
+    Every syscall releases the interpreter lock, and taking it back can
+    wait behind the service's other threads, so this skips what
+    :meth:`pathlib.Path.read_bytes` adds (``fstat``, ``lseek``, a second
+    ``read`` to find the end).  A read of a regular file comes back short
+    only at its end, so only a full chunk reads on.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = [os.read(fd, _READ_BYTES)]
+        while len(chunks[-1]) == _READ_BYTES:
+            chunks.append(os.read(fd, _READ_BYTES))
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _decode_entry(key: str, raw: bytes) -> AppRunResult:
     """Verify and decode one framed entry; raises ``ValueError``/
     ``KeyError``/``TypeError`` on any damage (all roads lead to
@@ -325,7 +402,10 @@ class ResultCache:
 
     # -- paths ----------------------------------------------------------
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._entry_path(key))
+
+    def _entry_path(self, key: str) -> str:
+        return f"{self.root}/{key[:2]}/{key}.json"
 
     @property
     def quarantine_root(self) -> Path:
@@ -340,19 +420,16 @@ class ResultCache:
         (moved under :attr:`quarantine_root`), never served; the caller
         recomputes and the slot is free for the fresh entry.
         """
-        path = self.path_for(key)
+        path = self._entry_path(key)
         try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError:
+            raw = _read_file(path)
+        except OSError:  # absent, or unreadable (e.g. a directory): no damage
             self.stats.misses += 1
             return None
         try:
             result = _decode_entry(key, raw)
         except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
+            self._quarantine(Path(path))
             self.stats.misses += 1
             return None
         self.stats.hits += 1

@@ -33,6 +33,7 @@ environment:
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -139,6 +140,7 @@ class ExperimentConfig:
         )
 
 
+@functools.lru_cache(maxsize=8192, typed=True)
 def derive_run_seed(benchmark: str, scheduler: str, index: int) -> int:
     """Seed of repetition ``index`` of cell ``(benchmark, scheduler)``.
 
@@ -146,6 +148,11 @@ def derive_run_seed(benchmark: str, scheduler: str, index: int) -> int:
     string cell key (same CRC-based spawning as :func:`repro.sim.rng.stream`),
     so every cell owns an independent, order-insensitive seed stream and
     parallel workers need no shared RNG state at all.
+
+    A pure function, memoised: a served job of ``n`` runs derives the same
+    ``n`` seeds on every submission.  ``typed`` keeps a float index, which
+    :class:`~numpy.random.SeedSequence` rejects, from hitting the entry of
+    the equal int.
     """
     if index < 0:
         raise ExperimentError(f"repetition index must be non-negative, got {index}")
@@ -361,23 +368,29 @@ class Runner:
         todo = [pair for pair in wanted if pair not in self._cells]
         if todo:
             cell_specs = {pair: self.specs(*pair) for pair in todo}
+            cell_keys = {
+                pair: [spec.key(self.topology_fp) for spec in specs]
+                for pair, specs in cell_specs.items()
+            }
             if self.journal is not None:
-                self._compute_journaled(cell_specs)
+                self._compute_journaled(cell_specs, cell_keys)
             else:
                 results = self._execute({
-                    spec.key(self.topology_fp): spec
-                    for specs in cell_specs.values()
-                    for spec in specs
+                    key: spec
+                    for pair, specs in cell_specs.items()
+                    for key, spec in zip(cell_keys[pair], specs)
                 })
-                for pair, specs in cell_specs.items():
-                    runs = [results[spec.key(self.topology_fp)] for spec in specs]
+                for pair, keys in cell_keys.items():
                     self._cells[pair] = CellResult(
-                        benchmark=pair[0], scheduler=pair[1], runs=runs
+                        benchmark=pair[0], scheduler=pair[1],
+                        runs=[results[key] for key in keys],
                     )
         return {pair: self._cells[pair] for pair in wanted}
 
     def _compute_journaled(
-        self, cell_specs: dict[tuple[str, str], list[RunSpec]]
+        self,
+        cell_specs: dict[tuple[str, str], list[RunSpec]],
+        cell_keys: dict[tuple[str, str], list[str]],
     ) -> None:
         """Cell-by-cell execution under the write-ahead commit protocol.
 
@@ -397,14 +410,10 @@ class Runner:
             timesteps=self.config.timesteps,
             with_noise=self.config.with_noise,
         )
-        keyed = {
-            pair: [spec.key(self.topology_fp) for spec in specs]
-            for pair, specs in cell_specs.items()
-        }
+        for pair, keys in cell_keys.items():
+            journal.cell_planned(*pair, keys=keys)
         for pair, specs in cell_specs.items():
-            journal.cell_planned(*pair, keys=keyed[pair])
-        for pair, specs in cell_specs.items():
-            keys = keyed[pair]
+            keys = cell_keys[pair]
             committed = journal.is_committed(*pair)
             if not committed:
                 journal.cell_running(*pair)
@@ -492,8 +501,9 @@ class Runner:
                 raise ExperimentError(
                     "run_specs requires specs built for this runner's machine"
                 )
-        results = self._execute({spec.key(fp): spec for spec in specs})
-        return [results[spec.key(fp)] for spec in specs]
+        keys = [spec.key(fp) for spec in specs]
+        results = self._execute(dict(zip(keys, specs)))
+        return [results[key] for key in keys]
 
     # ------------------------------------------------------------------
     def _execute(self, by_key: dict[str, RunSpec]) -> dict[str, AppRunResult]:

@@ -2,14 +2,17 @@
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.counters.metrics import TaskloopCounters
 from repro.exp.cache import (
+    _READ_BYTES,
     SCHEMA_VERSION,
     ResultCache,
+    _read_file,
     decode_run,
     default_cache_dir,
     encode_run,
@@ -103,6 +106,28 @@ class TestRunKey:
         fp = topology_fingerprint(tiny_two_node())
         assert run_key(**{**BASE_KEY_KWARGS, "topology": fp}) == run_key(**BASE_KEY_KWARGS)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"noise": NoiseParams(mean_interval=1.0)}, {"noise": NoiseParams(mean_interval=1)}),
+            ({"timesteps": 1}, {"timesteps": True}),
+            ({"scheduler_params": {"lease": 1}}, {"scheduler_params": {"lease": True}}),
+        ],
+        ids=["noise-int-float", "timesteps-int-bool", "params-int-bool"],
+    )
+    def test_equal_values_that_encode_differently_keep_distinct_keys(self, first, second):
+        """Fields that compare equal but serialise differently (``1`` and
+        ``1.0``, ``1`` and ``True``) keep their own keys, in either order."""
+        a = run_key(**{**BASE_KEY_KWARGS, **first})
+        b = run_key(**{**BASE_KEY_KWARGS, **second})
+        assert a != b
+        assert run_key(**{**BASE_KEY_KWARGS, **first}) == a
+        assert run_key(**{**BASE_KEY_KWARGS, **second}) == b
+
+    def test_seed_types_rejected_by_json_still_raise(self):
+        with pytest.raises(TypeError):
+            run_key(**{**BASE_KEY_KWARGS, "seed": np.int64(3)})
+
 
 class TestAsymRunKey:
     """The asymmetry axis enters the cache key only when non-default."""
@@ -151,8 +176,11 @@ class TestPinnedRunKey:
     existing cache — including a warm service fleet's — into misses.
     """
 
-    def _spec(self):
-        runner = Runner(ExperimentConfig(seeds=1, timesteps=2), topology=zen4_9354())
+    def _spec(self, **config):
+        runner = Runner(
+            ExperimentConfig(**{"seeds": 1, "timesteps": 2, **config}),
+            topology=zen4_9354(),
+        )
         return runner, runner.job_specs("cg", "ilan", seeds=1)[0]
 
     def test_unleased_key(self):
@@ -166,6 +194,31 @@ class TestPinnedRunKey:
         leased = dataclasses.replace(spec, lease_bits=0b11)
         assert leased.key(runner.topology_fp) == (
             "fc45b6c6ae2e85a297f54e8396c976484f60e00e3a6b06782f9fea9ee36a2a48"
+        )
+
+    def test_noiseless_key(self):
+        runner, spec = self._spec(with_noise=False)
+        assert spec.key(runner.topology_fp) == (
+            "4fc9fd37f8d65e8df2a1b9949347522503d9b8e27bb5eb7c4ae30e7a27ec45aa"
+        )
+
+    def test_model_default_timesteps_key(self):
+        runner, spec = self._spec(timesteps=None)
+        assert spec.key(runner.topology_fp) == (
+            "2adf5555e2ed2dd7583d247ff8a23f14d93f10dfab5cd170c6a832d2d92fe6e0"
+        )
+
+    def test_asymmetric_key(self):
+        runner, spec = self._spec(asym_spec="dvfs_interval=0.2", asym_seed=7)
+        assert spec.key(runner.topology_fp) == (
+            "d3ff963e2b05965525b0222a18733cc64b2f40f69f6e8be9a9e3bce590830a3d"
+        )
+
+    def test_leased_asymmetric_key(self):
+        runner, spec = self._spec(asym_spec="dvfs_interval=0.2", asym_seed=7)
+        leased = dataclasses.replace(spec, lease_bits=0b11)
+        assert leased.key(runner.topology_fp) == (
+            "a2275a2d878b5a7ce992a7abfa72be2b741b1c19696051b4381eebf385a87aa5"
         )
 
 
@@ -257,6 +310,32 @@ class TestResultCache:
         path_b.parent.mkdir(parents=True, exist_ok=True)
         path_b.write_bytes(tmp_cache.path_for(key_a).read_bytes())
         assert tmp_cache.get(key_b) is None
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_directory_at_entry_path_is_a_plain_miss(self, tmp_cache):
+        """An unreadable entry is a miss, not damage: nothing is
+        quarantined and no file descriptor leaks."""
+        key = run_key(**BASE_KEY_KWARGS)
+        path = tmp_cache.path_for(key)
+        path.mkdir(parents=True)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        assert tmp_cache.get(key) is None
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert tmp_cache.stats.misses == 1
+        assert tmp_cache.stats.hits == 0
+        assert tmp_cache.stats.quarantined == 0
+        assert tmp_cache.stats.invalidated == 0
+        assert tmp_cache.quarantined_files() == []
+        assert path.is_dir()
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, _READ_BYTES - 1, _READ_BYTES, _READ_BYTES + 1, 3 * _READ_BYTES]
+    )
+    def test_read_file_around_chunk_boundaries(self, tmp_path, size):
+        data = bytes(i % 251 for i in range(size))
+        path = tmp_path / "entry"
+        path.write_bytes(data)
+        assert _read_file(str(path)) == data
 
     def test_put_leaves_no_temp_files(self, tmp_cache):
         key = run_key(**BASE_KEY_KWARGS)

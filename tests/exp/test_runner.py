@@ -1,8 +1,12 @@
 """Unit tests for the experiment runner."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ExperimentError
+from repro.exp.cache import ResultCache, _key_frame
 from repro.exp.runner import (
     CellResult,
     ExperimentConfig,
@@ -63,6 +67,14 @@ class TestDerivedSeeds:
     def test_negative_index_rejected(self):
         with pytest.raises(ExperimentError):
             derive_run_seed("matmul", "baseline", -1)
+
+    def test_memo_keeps_float_index_rejected(self):
+        """The memo never serves an index SeedSequence rejects from the
+        entry of the equal int."""
+        seed = derive_run_seed("matmul", "baseline", 1)
+        with pytest.raises(TypeError):
+            derive_run_seed("matmul", "baseline", 1.0)
+        assert derive_run_seed("matmul", "baseline", True) == seed
 
 
 class TestRunner:
@@ -131,3 +143,93 @@ class TestRunner:
                 topology=tiny,
                 journal=journal,
             )
+
+
+class TestKeyDerivedOnce:
+    """Every spec's cache key is derived once per call, on a cold cache and
+    on a warm one: the lookup and the result lookup share it."""
+
+    @pytest.fixture
+    def key_calls(self, monkeypatch):
+        from repro.exp import runner as runner_module
+
+        calls = []
+        real = runner_module.run_key
+
+        def spy(**kwargs):
+            calls.append((kwargs["benchmark"], kwargs["scheduler"], kwargs["seed"]))
+            return real(**kwargs)
+
+        monkeypatch.setattr(runner_module, "run_key", spy)
+        return calls
+
+    @staticmethod
+    def _runner(tiny, cache, journal=None):
+        return Runner(
+            ExperimentConfig(seeds=2, timesteps=1, with_noise=False),
+            topology=tiny, cache=cache, journal=journal,
+        )
+
+    def test_run_specs(self, tiny, tmp_cache, key_calls):
+        runner = self._runner(tiny, tmp_cache)
+        specs = runner.job_specs("matmul", "baseline", seeds=3)
+        for expected_hits in (0, len(specs)):  # cold, then warm
+            key_calls.clear()
+            runner.run_specs(specs)
+            assert sorted(key_calls) == sorted(
+                (s.benchmark, s.scheduler, s.seed) for s in specs
+            )
+            assert tmp_cache.stats.hits == expected_hits
+
+    @pytest.mark.parametrize("journaled", [False, True], ids=["plain", "journaled"])
+    def test_cells(self, tiny, tmp_cache, tmp_path, key_calls, journaled):
+        from repro.exp.journal import CampaignJournal
+
+        pairs = [("matmul", "baseline"), ("cg", "worksharing")]
+        for expected_hits in (0, 4):  # cold, then warm in a fresh runner
+            key_calls.clear()
+            journal = CampaignJournal(tmp_path / "j.wal", fsync=False) if journaled else None
+            runner = self._runner(tiny, ResultCache(tmp_cache.root), journal)
+            runner.cells(pairs)
+            specs = [spec for pair in pairs for spec in runner.specs(*pair)]
+            assert sorted(key_calls) == sorted(
+                (s.benchmark, s.scheduler, s.seed) for s in specs
+            )
+            assert runner.cache.stats.hits == expected_hits
+
+
+class TestMemosUnderThreads:
+    def test_concurrent_derivation_matches_sequential(self, tiny):
+        """Service runner threads derive seeds and keys concurrently: from
+        cold memos, with a tiny switch interval, every thread still gets
+        the values of a sequential derivation."""
+        runner = Runner(ExperimentConfig(seeds=1, timesteps=1), topology=tiny)
+
+        def derive():
+            return [
+                spec.key(runner.topology_fp)
+                for cell in [("matmul", "baseline"), ("cg", "ilan"), ("ft", "worksharing")]
+                for lease in (None, 0b1, 0b11)
+                for spec in runner.job_specs(*cell, seeds=40, lease_bits=lease)
+            ]
+
+        expected = derive()
+        derive_run_seed.cache_clear()
+        _key_frame.cache_clear()
+        results = [None] * 8
+
+        def work(i):
+            results[i] = derive()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == expected for result in results)

@@ -1,13 +1,21 @@
 """Property-based tests: cache-key injectivity and persistence losslessness."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.counters.metrics import TaskloopCounters
-from repro.exp.cache import decode_run, encode_run, run_key, run_to_json
+from repro.exp.cache import (
+    SCHEMA_VERSION,
+    decode_run,
+    encode_run,
+    run_key,
+    run_to_json,
+)
 from repro.exp.figures import OverheadRow, SpeedupRow, ThreadsRow, VariabilityRow
 from repro.exp.persistence import load_results, save_results
 from repro.interference.noise import NoiseParams
@@ -63,6 +71,51 @@ def test_single_field_perturbation_changes_key(cfg, data):
     )
     perturbed = {**cfg, field: value}
     assert run_key(topology=_TOPO_FP, **perturbed) != run_key(topology=_TOPO_FP, **cfg)
+
+
+def _oracle_key(*, benchmark, scheduler, seed, timesteps, noise, topology,
+                scheduler_params):
+    """The documented key: SHA-256 of the canonical JSON of the full payload."""
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "benchmark": benchmark,
+        "scheduler": scheduler,
+        "scheduler_params": scheduler_params,
+        "seed": seed,
+        "timesteps": timesteps,
+        "noise": dataclasses.asdict(noise) if noise is not None else None,
+        "topology": topology,
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: cell names, including JSON-escaped quotes and backslashes and non-ASCII
+_names = st.one_of(
+    st.sampled_from(["cg", "ilan", 'say "hi"', "back\\slash", "naïve", "调度器"]),
+    st.text(max_size=12),
+)
+_param_values = st.one_of(
+    st.integers(), st.booleans(), st.none(), st.text(max_size=8),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=150)
+@given(
+    benchmark=_names,
+    scheduler=_names,
+    scheduler_params=st.dictionaries(st.text(max_size=8), _param_values, max_size=3),
+    timesteps=st.one_of(st.none(), st.integers()),
+    noise=noise_params,
+    topology=st.sampled_from([_TOPO_FP, "f" * 64]),
+    seeds=st.lists(st.integers(), min_size=1, max_size=4),
+)
+def test_key_matches_canonical_payload_oracle(seeds, **cell):
+    """Every key is the hash of the documented payload, however many
+    seeds share one cell (memoised state never changes a digest)."""
+    for seed in seeds:
+        assert run_key(seed=seed, **cell) == _oracle_key(seed=seed, **cell)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
