@@ -9,7 +9,9 @@ Usage::
 Runs are cached on disk keyed by their full configuration, so re-running
 after an unrelated edit only re-simulates what actually changed; ``--jobs``
 fans the independent runs out over worker processes.  Results are
-byte-identical for any job count and cache state.
+byte-identical for any job count and cache state.  Each run is stored as
+it completes: a campaign killed at any point recovers by rerunning the
+same command.
 
 ``--trace-out`` additionally executes one fully-traced run (by default the
 first paper benchmark under ILAN) and writes it as a Chrome
@@ -19,10 +21,8 @@ interactive counterpart of the ASCII timelines.
 import argparse
 
 from repro.bench.timers import now as wall_now
-from repro.exp.cliopts import (add_campaign_arguments, add_journal_arguments,
-                               config_from_args, journal_from_args)
+from repro.exp.cliopts import add_campaign_arguments, config_from_args
 from repro.exp.figures import figure2, figure3, figure4, figure5, figure6, table1
-from repro.exp.journal import install_checkpoint_handlers
 from repro.exp.persistence import results_to_dict, save_results
 from repro.exp.report import (render_speedups, render_threads, render_overheads,
                               render_figure6, render_variability)
@@ -33,7 +33,6 @@ parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("seeds_positional", nargs="?", type=int, default=None,
                     metavar="seeds", help="repetitions per cell (paper: 30)")
 add_campaign_arguments(parser)
-add_journal_arguments(parser)
 parser.add_argument("--out", default="experiments_data.json",
                     help="cell-summary JSON output path")
 parser.add_argument("--trace-out", default=None, metavar="PATH",
@@ -48,17 +47,8 @@ args = parser.parse_args()
 if args.seeds is None and args.seeds_positional is not None:
     args.seeds = args.seeds_positional
 cfg = config_from_args(args, seeds_default=30)
-if (args.journal or args.resume) and cfg.cache_dir is None:
-    raise SystemExit("--journal/--resume require the run cache (committed "
-                     "cells are reloaded from it on resume); drop --no-cache")
 t0 = wall_now()
-journal = journal_from_args(args)
-if journal is not None:
-    install_checkpoint_handlers(journal)
-    if journal.committed_cells():
-        print(f"resuming from {journal.path}: "
-              f"{len(journal.committed_cells())} cell(s) already committed")
-r = Runner(cfg, journal=journal)
+r = Runner(cfg)
 print(f"campaign: seeds={cfg.seeds}, timesteps="
       f"{'model defaults (50)' if cfg.timesteps is None else cfg.timesteps}, "
       f"noise {'on' if cfg.with_noise else 'off'}, jobs={cfg.jobs}, "
@@ -95,7 +85,4 @@ if args.trace_out:
     rt.run_application(make_benchmark(bench, timesteps=cfg.timesteps))
     out = write_chrome_trace(args.trace_out, rt.last_ctx.trace, r.topology)
     print(f"chrome trace of ({bench}, {sched}) written to {out}")
-if journal is not None:
-    journal.checkpoint("complete")
-    journal.close()
 print(f"wall time: {wall_now()-t0:.0f}s; cell summaries saved to {args.out}")

@@ -1,10 +1,10 @@
 """I/O durability rules: crash-safe writes on durable paths.
 
 The experiment harness and the scheduling service persist results,
-caches, journals and snapshots that later runs *trust* (``--resume``
-replays them, the cache serves them, operators read them).  A plain
-``open(..., "w")`` or ``Path.write_text`` tears under a crash — the file
-exists with half its bytes — so every durable write in those packages
+cache entries and snapshots that later runs *trust* (the cache serves
+them to a rerun, operators read them).  A plain ``open(..., "w")`` or
+``Path.write_text`` tears under a crash — the file exists with half its
+bytes — so every durable write in those packages, with no exemption,
 must go through :func:`repro.ioutil.atomic_write` (tmp file + fsync +
 rename).  See DESIGN.md §5c for the durability model this enforces.
 """
@@ -16,16 +16,10 @@ from typing import ClassVar, Iterator
 
 from repro.analysis.engine import Finding, Module, Rule
 
-__all__ = ["Io001DurableWrites", "IO001_ALLOWED_MODULES"]
+__all__ = ["Io001DurableWrites"]
 
 #: Packages whose on-disk artefacts must survive a crash mid-write.
 DURABLE_PACKAGES = ("exp", "serve")
-
-#: Modules allowed to hold a raw write handle: the write-ahead journal
-#: *is* the durability mechanism — it appends records incrementally to
-#: one open fd (flushed + fsync'd per record), which an atomic-rename
-#: helper cannot express.
-IO001_ALLOWED_MODULES: frozenset[str] = frozenset({"exp.journal"})
 
 #: Callables that open a raw writable handle when given a write mode.
 _OPENERS = frozenset({"open", "builtins.open", "io.open", "os.fdopen"})
@@ -63,19 +57,13 @@ class Io001DurableWrites(Rule):
     id: ClassVar[str] = "IO001"
     title: ClassVar[str] = "non-atomic write on a durable path"
     rationale: ClassVar[str] = (
-        "exp/ and serve/ artefacts (results, cache entries, journals, "
-        "snapshots) are trusted by later runs; a direct open-for-write "
+        "exp/ and serve/ artefacts (results, cache entries, snapshots) "
+        "are trusted by later runs; a direct open-for-write "
         "tears under a crash — route the write through "
         "repro.ioutil.atomic_write so readers only ever see a complete "
         "old or new file."
     )
     packages: ClassVar[tuple[str, ...] | None] = DURABLE_PACKAGES
-
-    def applies(self, mod: Module) -> bool:
-        if not super().applies(mod):
-            return False
-        pkg = mod.repro_package
-        return pkg is None or ".".join(pkg) not in IO001_ALLOWED_MODULES
 
     def check(self, mod: Module) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):

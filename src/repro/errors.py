@@ -40,16 +40,6 @@ class ExperimentError(ReproError):
     """Raised by the experiment harness for invalid experiment requests."""
 
 
-class JournalError(ExperimentError):
-    """Raised for an unreadable or mismatched campaign write-ahead journal.
-
-    A torn *tail* record (the crash the journal exists to survive) is not
-    an error — replay drops it silently; this exception covers corruption
-    anywhere earlier in the file and attempts to resume a journal written
-    by a differently-configured campaign.
-    """
-
-
 class ServeError(ReproError):
     """Base class of the multi-tenant scheduling service's errors."""
 

@@ -10,7 +10,9 @@ Examples::
 
 Campaign runs are cached on disk by default (under ``~/.cache/repro`` or
 ``$REPRO_CACHE_DIR``), keyed by the full run configuration; re-running a
-figure re-simulates nothing unless the configuration changed.
+figure re-simulates nothing unless the configuration changed.  Each run is
+stored as it completes, so a campaign killed at any point recovers by
+rerunning the same command: only the missing runs are simulated.
 """
 
 from __future__ import annotations
@@ -20,13 +22,10 @@ import sys
 
 from repro.exp.cliopts import (
     add_campaign_arguments,
-    add_journal_arguments,
     add_machine_argument,
     config_from_args,
-    journal_from_args,
     resolve_machine,
 )
-from repro.exp.journal import install_checkpoint_handlers
 from repro.exp.figures import figure2, figure3, figure4, figure5, figure6, table1
 from repro.exp.report import (
     render_figure6,
@@ -62,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=_EXPERIMENTS, help="which artefact to run")
     add_campaign_arguments(parser)
-    add_journal_arguments(parser)
     add_machine_argument(parser)
     parser.add_argument(
         "--save",
@@ -119,20 +117,7 @@ _resolve_machine = resolve_machine
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = config_from_args(args)
-    if (args.journal or args.resume) and cfg.cache_dir is None:
-        raise SystemExit(
-            "--journal/--resume require the run cache (committed cells are "
-            "reloaded from it on resume); drop --no-cache"
-        )
-    journal = journal_from_args(args)
-    if journal is not None:
-        install_checkpoint_handlers(journal)
-        if journal.committed_cells():
-            print(
-                f"resuming from {journal.path}: "
-                f"{len(journal.committed_cells())} cell(s) already committed"
-            )
-    runner = Runner(cfg, topology=resolve_machine(args.machine), journal=journal)
+    runner = Runner(cfg, topology=resolve_machine(args.machine))
     names = [args.experiment] if args.experiment != "all" else list(_EXPERIMENTS[:-1])
     schedulers = sorted({s for n in names for s in _EXPERIMENT_SCHEDULERS[n]})
     runner.prefetch(args.benchmarks or list(PAPER_ORDER), schedulers)
@@ -150,9 +135,6 @@ def main(argv: list[str] | None = None) -> int:
 
         save_results(args.save, results_to_dict(runner))
         print(f"saved cell summaries to {args.save}")
-    if journal is not None:
-        journal.checkpoint("complete")
-        journal.close()
     return 0
 
 

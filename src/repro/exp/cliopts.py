@@ -11,10 +11,8 @@ of machine-spec resolution (:func:`resolve_machine`).
 from __future__ import annotations
 
 import argparse
-import os
 
 from repro.exp.cache import default_cache_dir
-from repro.exp.journal import CampaignJournal
 from repro.exp.runner import ExperimentConfig
 from repro.topology.hwloc import parse_topology
 from repro.topology.machine import MachineTopology
@@ -28,9 +26,7 @@ from repro.topology.presets import (
 __all__ = [
     "MACHINE_PRESETS",
     "add_campaign_arguments",
-    "add_journal_arguments",
     "config_from_args",
-    "journal_from_args",
     "resolve_machine",
     "add_machine_argument",
 ]
@@ -96,58 +92,6 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> argparse.Argument
         "$REPRO_ASYM_SEED or derived from each run's seed)",
     )
     return parser
-
-
-def add_journal_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The durability flags: ``--journal`` records, ``--resume`` replays.
-
-    Both name the same write-ahead journal file; ``--resume`` insists it
-    already exists (catching a typo'd path before silently starting a
-    fresh campaign), while ``--journal`` creates it on first use.
-    """
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help="record cell planned/running/committed transitions to an "
-        "append-only write-ahead journal (crash-safe; see --resume)",
-    )
-    group.add_argument(
-        "--resume",
-        metavar="PATH",
-        default=None,
-        help="resume an interrupted campaign from its journal: committed "
-        "cells are skipped (their runs reload from the cache) and output "
-        "is byte-identical to an uninterrupted run",
-    )
-    return parser
-
-
-def journal_from_args(args: argparse.Namespace) -> CampaignJournal | None:
-    """Open the campaign journal named by ``--journal``/``--resume``.
-
-    ``REPRO_CRASH_AFTER_JOURNAL_RECORDS=N`` arms the crash-injection seam
-    (the process SIGKILLs itself after the N-th durable append) — used by
-    ``scripts/crash_smoke.py`` and the crash-resume tests, harmless to
-    set by hand if you enjoy watching campaigns die.
-    """
-    path = getattr(args, "journal", None) or getattr(args, "resume", None)
-    if path is None:
-        return None
-    if getattr(args, "resume", None) is not None and not os.path.exists(path):
-        raise SystemExit(f"--resume {path}: journal file does not exist")
-    crash_env = os.environ.get("REPRO_CRASH_AFTER_JOURNAL_RECORDS")
-    crash_after = None
-    if crash_env:
-        try:
-            crash_after = int(crash_env)
-        except ValueError:
-            raise SystemExit(
-                f"REPRO_CRASH_AFTER_JOURNAL_RECORDS={crash_env!r}: expected "
-                "an integer (the journal-append count to SIGKILL after)"
-            ) from None
-    return CampaignJournal(path, crash_after=crash_after)
 
 
 def add_machine_argument(

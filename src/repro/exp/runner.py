@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.exp.cache import ResultCache, run_key, topology_fingerprint
-from repro.exp.journal import CampaignJournal
 from repro.exp.stats import Summary, summarize
 from repro.interference.noise import NoiseParams
 from repro.interference.timeline import AsymmetrySpec
@@ -285,9 +284,13 @@ class Runner:
 
     ``jobs`` > 1 fans run simulations out over a
     :class:`~concurrent.futures.ProcessPoolExecutor`; an attached
-    :class:`ResultCache` is consulted before any simulation and updated
-    after every completed run.  Both are transparent: summaries are
+    :class:`ResultCache` is consulted before any simulation and stores
+    each run as soon as it completes.  Both are transparent: summaries are
     byte-identical whatever the job count or cache state.
+
+    The cache is also the crash-recovery path: a campaign killed at any
+    point loses only the runs still executing, and rerunning the same
+    command serves every stored run as a verified hit.
     """
 
     def __init__(
@@ -297,24 +300,13 @@ class Runner:
         *,
         cache: ResultCache | None = None,
         jobs: int | None = None,
-        journal: CampaignJournal | None = None,
     ):
         self.config = config or ExperimentConfig.from_env()
         self.topology = topology or zen4_9354()
         self.jobs = max(1, jobs if jobs is not None else self.config.jobs)
         if cache is None and self.config.cache_dir:
             cache = ResultCache(self.config.cache_dir)
-        if journal is not None and cache is None:
-            # `committed` promises every run of the cell is durably in the
-            # cache; without one the record would be a lie and a resume
-            # would silently recompute "committed" work
-            raise ExperimentError(
-                "a journaled campaign requires a result cache (the commit "
-                "protocol records 'committed' only for cache-persisted "
-                "runs); attach a cache or drop the journal"
-            )
         self.cache = cache
-        self.journal = journal
         self._cells: dict[tuple[str, str], CellResult] = {}
         self._topology_fp: str | None = None
 
@@ -356,14 +348,7 @@ class Runner:
         self, pairs: Iterable[tuple[str, str]]
     ) -> dict[tuple[str, str], CellResult]:
         """Compute many cells at once, fanning *all* their missing runs
-        out over one worker pool (cross-cell parallelism).
-
-        With a :class:`CampaignJournal` attached, cells are instead
-        executed one at a time under the ``planned → running →
-        committed`` protocol (intra-cell parallelism only), so a crash
-        loses at most one cell's uncached work; results are byte-identical
-        either way.
-        """
+        out over one worker pool (cross-cell parallelism)."""
         wanted = list(dict.fromkeys(pairs))
         todo = [pair for pair in wanted if pair not in self._cells]
         if todo:
@@ -372,58 +357,17 @@ class Runner:
                 pair: [spec.key(self.topology_fp) for spec in specs]
                 for pair, specs in cell_specs.items()
             }
-            if self.journal is not None:
-                self._compute_journaled(cell_specs, cell_keys)
-            else:
-                results = self._execute({
-                    key: spec
-                    for pair, specs in cell_specs.items()
-                    for key, spec in zip(cell_keys[pair], specs)
-                })
-                for pair, keys in cell_keys.items():
-                    self._cells[pair] = CellResult(
-                        benchmark=pair[0], scheduler=pair[1],
-                        runs=[results[key] for key in keys],
-                    )
+            results = self._execute({
+                key: spec
+                for pair, specs in cell_specs.items()
+                for key, spec in zip(cell_keys[pair], specs)
+            })
+            for pair, keys in cell_keys.items():
+                self._cells[pair] = CellResult(
+                    benchmark=pair[0], scheduler=pair[1],
+                    runs=[results[key] for key in keys],
+                )
         return {pair: self._cells[pair] for pair in wanted}
-
-    def _compute_journaled(
-        self,
-        cell_specs: dict[tuple[str, str], list[RunSpec]],
-        cell_keys: dict[tuple[str, str], list[str]],
-    ) -> None:
-        """Cell-by-cell execution under the write-ahead commit protocol.
-
-        Ordering per cell: ``running`` is journalled before any
-        simulation; every run is persisted to the cache inside
-        :meth:`_execute`; only then is ``committed`` appended.  On
-        resume, a committed cell's runs come back as verified cache hits
-        (a quarantined entry is simply recomputed — determinism makes
-        the replacement byte-identical), so no transition is re-recorded
-        for it.
-        """
-        journal = self.journal
-        assert journal is not None
-        journal.begin(
-            topology_fp=self.topology_fp,
-            seeds=self.config.seeds,
-            timesteps=self.config.timesteps,
-            with_noise=self.config.with_noise,
-        )
-        for pair, keys in cell_keys.items():
-            journal.cell_planned(*pair, keys=keys)
-        for pair, specs in cell_specs.items():
-            keys = cell_keys[pair]
-            committed = journal.is_committed(*pair)
-            if not committed:
-                journal.cell_running(*pair)
-            results = self._execute(dict(zip(keys, specs)))
-            self._cells[pair] = CellResult(
-                benchmark=pair[0], scheduler=pair[1],
-                runs=[results[key] for key in keys],
-            )
-            if not committed:
-                journal.cell_committed(*pair, keys=keys)
 
     def prefetch(
         self, benchmarks: Sequence[str], schedulers: Sequence[str]
@@ -507,7 +451,12 @@ class Runner:
 
     # ------------------------------------------------------------------
     def _execute(self, by_key: dict[str, RunSpec]) -> dict[str, AppRunResult]:
-        """Resolve runs by key: cache first, then simulate the misses."""
+        """Resolve runs by key: cache first, then simulate the misses.
+
+        Each simulated run is stored the moment it completes (in
+        completion order under the process pool), so a crash mid-batch
+        loses only the runs still executing.
+        """
         results: dict[str, AppRunResult] = {}
         missing: dict[str, RunSpec] = {}
         for key, spec in by_key.items():
@@ -516,20 +465,25 @@ class Runner:
                 results[key] = cached
             else:
                 missing[key] = spec
-        if missing:
-            keys = list(missing)
-            specs = [missing[k] for k in keys]
-            if self.jobs > 1 and len(specs) > 1:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(specs))
-                ) as pool:
-                    computed = list(pool.map(execute_spec, specs))
-            else:
-                computed = [execute_spec(spec) for spec in specs]
-            for key, result in zip(keys, computed):
-                results[key] = result
-                if self.cache is not None:
-                    self.cache.put(key, result)
+
+        def complete(key: str, result: AppRunResult) -> None:
+            results[key] = result
+            if self.cache is not None:
+                self.cache.put(key, result)
+
+        if self.jobs > 1 and len(missing) > 1:
+            with ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(missing))
+            ) as pool:
+                futures = {
+                    pool.submit(execute_spec, spec): key
+                    for key, spec in missing.items()
+                }
+                for future in as_completed(futures):
+                    complete(futures[future], future.result())
+        else:
+            for key, spec in missing.items():
+                complete(key, execute_spec(spec))
         return results
 
     # ------------------------------------------------------------------

@@ -6,15 +6,12 @@ the payload is written to a temporary file *in the target directory*,
 flushed and ``fsync``'d, then ``os.replace``'d over the destination, and
 the directory entry itself is fsync'd.  The guarantee is all-or-nothing
 at every crash point: a reader either sees the complete previous version
-or the complete new version, never a torn intermediate.  (The append-only
-write-ahead journal, :mod:`repro.exp.journal`, is the one durable writer
-that cannot rewrite whole files; it carries its own per-record CRC + fsync
-discipline instead.)
+or the complete new version, never a torn intermediate.
 
 The static analyzer's IO001 rule enforces the routing: inside ``exp/``
 and ``serve/`` a direct ``open(..., "w")`` / ``Path.write_text`` is a
-finding — the bare idiom is exactly the torn-write bug this module
-removes.
+finding, with no module exempt — the bare idiom is exactly the
+torn-write bug this module removes.
 """
 
 from __future__ import annotations

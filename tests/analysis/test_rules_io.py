@@ -28,6 +28,17 @@ class TestIo001TruePositives:
                 select="IO001",
             ) == ["IO001"], mode
 
+    def test_append_handle_in_exp_module_flagged(self, rule_ids):
+        """No exp/ module is exempt: an append-only handle tears too."""
+        assert rule_ids(
+            EXP,
+            """
+            def _open(path):
+                return open(path, "ab")
+            """,
+            select="IO001",
+        ) == ["IO001"]
+
     def test_mode_keyword_flagged(self, rule_ids):
         assert rule_ids(
             EXP,
@@ -138,16 +149,6 @@ class TestIo001FalsePositiveGuards:
         """
         assert rule_ids(SIM, snippet, select="IO001") == []
         assert rule_ids(OUTSIDE, snippet, select="IO001") == []
-
-    def test_guard_journal_module_allowlisted(self, rule_ids):
-        assert rule_ids(
-            "src/repro/exp/journal.py",
-            """
-            def _open(path):
-                return open(path, "ab")
-            """,
-            select="IO001",
-        ) == []
 
     def test_noqa_suppression_respected(self, rule_ids):
         assert rule_ids(

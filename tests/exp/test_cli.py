@@ -39,16 +39,6 @@ class TestParser:
             _build_parser().parse_args(["fig2", "--engine", "reference"])
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    def test_journal_with_no_cache_is_refused(self, tmp_path):
-        """The journal's commit records promise cache persistence, so the
-        combination is rejected up front — before the file is created."""
-        from repro.exp import cli as cli_mod
-
-        wal = tmp_path / "j.wal"
-        with pytest.raises(SystemExit, match="require the run cache"):
-            cli_mod.main(["fig2", "--no-cache", "--journal", str(wal)])
-        assert not wal.exists()
-
 
 class TestRunExperiment:
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "fig6", "table1"])

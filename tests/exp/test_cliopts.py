@@ -8,10 +8,8 @@ from repro.exp.cache import default_cache_dir
 from repro.exp.cliopts import (
     MACHINE_PRESETS,
     add_campaign_arguments,
-    add_journal_arguments,
     add_machine_argument,
     config_from_args,
-    journal_from_args,
     resolve_machine,
 )
 from repro.topology.hwloc import format_topology
@@ -131,28 +129,6 @@ def test_asym_flags_parse_and_merge(monkeypatch):
     assert config_from_args(parse([])).asym_seed == 3
     cfg = config_from_args(parse(["--asym-spec", "mix"]))
     assert cfg.asym_spec == "mix" and cfg.asym_seed == 3
-
-
-# ----------------------------------------------------------------------
-# journal flags
-# ----------------------------------------------------------------------
-def parse_journal(argv):
-    parser = argparse.ArgumentParser()
-    add_journal_arguments(parser)
-    return parser.parse_args(argv)
-
-
-def test_malformed_crash_env_is_a_clean_cli_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CRASH_AFTER_JOURNAL_RECORDS", "abc")
-    args = parse_journal(["--journal", str(tmp_path / "j.wal")])
-    with pytest.raises(SystemExit, match="expected an integer"):
-        journal_from_args(args)
-
-
-def test_resume_of_missing_journal_is_a_clean_cli_error(tmp_path):
-    args = parse_journal(["--resume", str(tmp_path / "nope.wal")])
-    with pytest.raises(SystemExit, match="does not exist"):
-        journal_from_args(args)
 
 
 # ----------------------------------------------------------------------

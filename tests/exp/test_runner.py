@@ -131,19 +131,6 @@ class TestRunner:
         assert ("matmul", "baseline") in cached
         assert ("matmul", "ilan") in cached
 
-    def test_journal_without_cache_refused(self, tiny, tmp_path):
-        """'committed' promises cache persistence; without a cache the
-        journal would lie and resume would silently recompute."""
-        from repro.exp.journal import CampaignJournal
-
-        journal = CampaignJournal(tmp_path / "j.wal", fsync=False)
-        with pytest.raises(ExperimentError, match="requires a result cache"):
-            Runner(
-                ExperimentConfig(seeds=1, timesteps=1),
-                topology=tiny,
-                journal=journal,
-            )
-
 
 class TestKeyDerivedOnce:
     """Every spec's cache key is derived once per call, on a cold cache and
@@ -164,10 +151,10 @@ class TestKeyDerivedOnce:
         return calls
 
     @staticmethod
-    def _runner(tiny, cache, journal=None):
+    def _runner(tiny, cache):
         return Runner(
             ExperimentConfig(seeds=2, timesteps=1, with_noise=False),
-            topology=tiny, cache=cache, journal=journal,
+            topology=tiny, cache=cache,
         )
 
     def test_run_specs(self, tiny, tmp_cache, key_calls):
@@ -181,21 +168,74 @@ class TestKeyDerivedOnce:
             )
             assert tmp_cache.stats.hits == expected_hits
 
-    @pytest.mark.parametrize("journaled", [False, True], ids=["plain", "journaled"])
-    def test_cells(self, tiny, tmp_cache, tmp_path, key_calls, journaled):
-        from repro.exp.journal import CampaignJournal
-
+    def test_cells(self, tiny, tmp_cache, key_calls):
         pairs = [("matmul", "baseline"), ("cg", "worksharing")]
         for expected_hits in (0, 4):  # cold, then warm in a fresh runner
             key_calls.clear()
-            journal = CampaignJournal(tmp_path / "j.wal", fsync=False) if journaled else None
-            runner = self._runner(tiny, ResultCache(tmp_cache.root), journal)
+            runner = self._runner(tiny, ResultCache(tmp_cache.root))
             runner.cells(pairs)
             specs = [spec for pair in pairs for spec in runner.specs(*pair)]
             assert sorted(key_calls) == sorted(
                 (s.benchmark, s.scheduler, s.seed) for s in specs
             )
             assert runner.cache.stats.hits == expected_hits
+
+
+class TestStoresEachRunAsItCompletes:
+    """A run reaches the cache the moment it completes, not when its batch
+    ends: a failure on the k-th simulation leaves the k-1 runs before it
+    stored, and a rerun serves them as hits."""
+
+    K = 3
+
+    @pytest.fixture
+    def fail_kth_run(self, monkeypatch):
+        """Only the K-th simulation of the test fails; later ones run."""
+        from repro.exp import runner as runner_module
+
+        real = runner_module.execute_spec
+        calls = []
+
+        def failing(spec, **kwargs):
+            calls.append(spec)
+            if len(calls) == self.K:
+                raise RuntimeError(f"run {self.K} failed")
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(runner_module, "execute_spec", failing)
+
+    @staticmethod
+    def _runner(tiny, root):
+        return Runner(
+            ExperimentConfig(seeds=3, timesteps=1, with_noise=False),
+            topology=tiny, cache=ResultCache(root), jobs=1,
+        )
+
+    def test_run_specs(self, tiny, tmp_cache, fail_kth_run):
+        runner = self._runner(tiny, tmp_cache.root)
+        specs = runner.job_specs("matmul", "baseline", seeds=5)
+        with pytest.raises(RuntimeError, match="failed"):
+            runner.run_specs(specs)
+        assert runner.cache.stats.stores == self.K - 1
+        assert len(ResultCache(tmp_cache.root)) == self.K - 1
+
+        rerun = self._runner(tiny, tmp_cache.root)
+        rerun.run_specs(specs)
+        stats = rerun.cache.stats
+        assert (stats.hits, stats.stores) == (self.K - 1, len(specs) - (self.K - 1))
+
+    def test_cells(self, tiny, tmp_cache, fail_kth_run):
+        pairs = [("matmul", "baseline"), ("cg", "worksharing")]
+        runner = self._runner(tiny, tmp_cache.root)
+        with pytest.raises(RuntimeError, match="failed"):
+            runner.cells(pairs)
+        assert runner.cache.stats.stores == self.K - 1
+        assert runner.cached_cells() == {}
+
+        rerun = self._runner(tiny, tmp_cache.root)
+        rerun.cells(pairs)
+        stats = rerun.cache.stats
+        assert (stats.hits, stats.stores) == (self.K - 1, 6 - (self.K - 1))
 
 
 class TestMemosUnderThreads:

@@ -1,101 +1,20 @@
 """Property-based tests for the durability layer.
 
-Two contracts, each quantified over adversarial inputs:
-
-* **journal replay idempotence** — replaying any record stream twice
-  (record-level, and the file-level analogue of re-opening a journal
-  whose content was duplicated) yields the same state as replaying it
-  once; transitions are monotone so arrival order never regresses a
-  cell;
-* **cache corruption detection** — flipping any single byte of a stored
-  cache entry (or truncating it anywhere) is detected by the SHA-256
-  content checksum and the entry is quarantined, never served.
+**Cache corruption detection**, quantified over adversarial inputs:
+flipping any single byte of a stored cache entry (or truncating it
+anywhere) is detected by the SHA-256 content checksum and the entry is
+quarantined, never served.  The run cache is the only crash-recovery
+path, so this is what makes a rerun after a crash trustworthy.
 """
 
 import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.exp.cache import ResultCache, run_key, run_to_json
-from repro.exp.journal import (
-    CELL_COMMITTED,
-    Journal,
-    read_records,
-    replay_state,
-)
 from tests.exp.test_cache import BASE_KEY_KWARGS, synthetic_run
-
-# ----------------------------------------------------------------------
-# journal replay idempotence
-# ----------------------------------------------------------------------
-
-_BENCHES = ("ft", "cg", "matmul")
-_SCHEDS = ("baseline", "ilan")
-
-cell_records = st.builds(
-    lambda bench, sched, state, keys: {
-        "type": "cell", "state": state, "benchmark": bench, "scheduler": sched,
-        **({"keys": keys} if keys is not None else {}),
-    },
-    bench=st.sampled_from(_BENCHES),
-    sched=st.sampled_from(_SCHEDS),
-    state=st.sampled_from(("planned", "running", "committed")),
-    keys=st.one_of(st.none(), st.lists(st.text("abcdef0123456789", min_size=1,
-                                               max_size=8), max_size=3)),
-)
-checkpoint_records = st.builds(
-    lambda reason: {"type": "checkpoint", "reason": reason},
-    reason=st.sampled_from(("sigterm", "sigint", "complete")),
-)
-record_streams = st.lists(st.one_of(cell_records, checkpoint_records), max_size=30)
-
-
-def canonical(state):
-    return (state.header, dict(state.cells), dict(state.keys),
-            list(state.checkpoints))
-
-
-@given(records=record_streams)
-def test_replaying_any_stream_twice_equals_once(records):
-    once = replay_state(records)
-    twice = replay_state(records + records)
-    assert canonical(once) == canonical(twice)
-
-
-@given(records=record_streams, cut=st.integers(min_value=0, max_value=30))
-def test_replaying_a_prefix_then_the_whole_never_regresses(records, cut):
-    """Any cell committed in a prefix stays committed in the full replay —
-    the resume invariant: work acknowledged once is never redone."""
-    prefix = records[: min(cut, len(records))]
-    committed_early = replay_state(prefix).committed_cells()
-    full = replay_state(records)
-    assert committed_early <= full.committed_cells()
-    for cell in committed_early:
-        assert full.state_of(*cell) == CELL_COMMITTED
-
-
-@given(records=record_streams)
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_file_level_duplication_replays_identically(records, tmp_path):
-    """The on-disk analogue: a journal whose bytes were appended twice
-    (e.g. a resumed writer replaying an already-written stream) folds to
-    the same state as the single copy."""
-    # tmp_path is shared across the examples of one @given run; the
-    # journal appends, so every example needs a fresh directory
-    workdir = Path(tempfile.mkdtemp(dir=tmp_path))
-    path = workdir / "j.wal"
-    with Journal(path, fsync=False) as j:
-        for r in records:
-            j.append(r)
-    raw = path.read_bytes()
-    (workdir / "doubled.wal").write_bytes(raw + raw)
-    once = replay_state(read_records(path))
-    twice = replay_state(read_records(workdir / "doubled.wal"))
-    assert canonical(once) == canonical(twice)
-
 
 # ----------------------------------------------------------------------
 # cache corruption detection

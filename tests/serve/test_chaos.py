@@ -12,6 +12,7 @@ plans are seeded, two identical runs must produce *identical* end states.
 import asyncio
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -273,42 +274,77 @@ def test_deadline_fault_without_any_deadline_is_a_noop():
 # ----------------------------------------------------------------------
 # mixed seeded plan over the wire, twice: identical end states
 # ----------------------------------------------------------------------
-async def _chaos_scenario() -> dict:
-    """One full chaos run over TCP; returns a canonical (time-free) report."""
-    plan = FaultPlan(
+#: (fault probabilities, plan seed, jobs, lease nodes) of each replayed
+#: plan; the second also drops the client mid-wait
+CHAOS_PLANS = {
+    "crash-transient-deadline": (
         {
             FaultKind.WORKER_CRASH: 0.3,
             FaultKind.TRANSIENT_ERROR: 0.3,
             FaultKind.DEADLINE_HANG: 0.2,
         },
-        seed=7,
-        fault_attempts=1,
-    )
+        7, 6, 2,
+    ),
+    "with-disconnects": (
+        {
+            FaultKind.WORKER_CRASH: 0.3,
+            FaultKind.TRANSIENT_ERROR: 0.25,
+            FaultKind.DEADLINE_HANG: 0.15,
+            FaultKind.CLIENT_DISCONNECT: 0.15,
+        },
+        1, 8, 1,
+    ),
+}
+
+
+async def _chaos_scenario(probabilities, seed, n_jobs, nodes) -> dict:
+    """One full chaos run over TCP; returns a canonical (time-free) report."""
+    plan = FaultPlan(probabilities, seed=seed, fault_attempts=1)
     # workers=1 keeps grant order deterministic, so the replay is exact
     service = _service(workers=1, fault_plan=plan, max_attempts=3)
     host, port = await service.start("127.0.0.1", 0)
+    reconnects = 0
     async with await ServiceClient.connect(host, port) as cli:
         job_ids = [
             await cli.submit(
-                JobRequest(benchmark="matmul", timesteps=3, nodes=2,
+                JobRequest(benchmark="matmul", timesteps=3, nodes=nodes,
                            tenant=f"tenant-{i % 2}", deadline_s=1.0)
             )
-            for i in range(6)
+            for i in range(n_jobs)
         ]
-        jobs = [await cli.wait(job_id, timeout=TIMEOUT) for job_id in job_ids]
+        jobs = []
+        for job_id in job_ids:
+            if plan.should_inject(job_id, FaultKind.CLIENT_DISCONNECT, 0):
+                plan.record_injection(FaultKind.CLIENT_DISCONNECT)
+                await cli.reconnect()  # drop mid-wait, dial again, resume
+                reconnects += 1
+            jobs.append(await cli.wait(job_id, timeout=TIMEOUT))
     async with await ServiceClient.connect(host, port) as cli:
         snapshot = await asyncio.wait_for(cli.drain(), timeout=TIMEOUT)
 
+    assert snapshot["jobs"]["submitted"] == n_jobs
     assert _conserves(snapshot)
+    assert (snapshot["jobs"]["active"], snapshot["jobs"]["queued"]) == (0, 0)
     assert _all_leases_free(snapshot)
     assert snapshot["nodes"]["waiting_for_lease"] == []
     assert all(job["state"] in ("completed", "failed") for job in jobs)
-    # the seeded sample at seed=7 hits crash, transient and deadline faults
-    assert snapshot["recovery"]["faults_injected"]
+
+    # every injected fault shows up once in its recovery counter
+    injected = plan.injected
+    recovery = snapshot["recovery"]
+    assert injected["crash"] > 0
+    assert recovery["faults_injected"].get("crash", 0) == injected["crash"]
+    assert recovery["leases_reclaimed"] == injected["crash"]
+    assert recovery["retried"] == injected["transient"]
+    assert recovery["deadline_exceeded"] == injected["deadline"]
+    disconnects = Counter(plan.decisions().values())["disconnect"]
+    assert reconnects == injected["disconnect"] == disconnects
+    assert (disconnects > 0) == (FaultKind.CLIENT_DISCONNECT in probabilities)
 
     return {
         "decisions": plan.decisions(),
-        "injected": dict(sorted(plan.injected.items())),
+        "injected": dict(sorted(injected.items())),
+        "reconnects": reconnects,
         "jobs": {
             job["job_id"]: {
                 "state": job["state"],
@@ -323,21 +359,19 @@ async def _chaos_scenario() -> dict:
         "counters": {
             "completed": snapshot["jobs"]["completed"],
             "failed": snapshot["jobs"]["failed"],
-            "retried": snapshot["recovery"]["retried"],
-            "requeued": snapshot["recovery"]["requeued"],
-            "deadline_exceeded": snapshot["recovery"]["deadline_exceeded"],
-            "leases_reclaimed": snapshot["recovery"]["leases_reclaimed"],
+            "retried": recovery["retried"],
+            "requeued": recovery["requeued"],
+            "deadline_exceeded": recovery["deadline_exceeded"],
+            "leases_reclaimed": recovery["leases_reclaimed"],
         },
     }
 
 
-def test_seeded_chaos_run_is_byte_reproducible():
-    first = json.dumps(asyncio.run(_chaos_scenario()), sort_keys=True)
-    second = json.dumps(asyncio.run(_chaos_scenario()), sort_keys=True)
+@pytest.mark.parametrize("plan", sorted(CHAOS_PLANS))
+def test_seeded_chaos_run_is_byte_reproducible(plan):
+    first = json.dumps(asyncio.run(_chaos_scenario(*CHAOS_PLANS[plan])), sort_keys=True)
+    second = json.dumps(asyncio.run(_chaos_scenario(*CHAOS_PLANS[plan])), sort_keys=True)
     assert first == second
-    report = json.loads(first)
-    # the plan actually bit: at least one fault kind fired
-    assert sum(report["injected"].values()) > 0
 
 
 # ----------------------------------------------------------------------
