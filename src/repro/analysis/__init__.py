@@ -5,7 +5,7 @@ the properties the golden-fixture and chaos tests check dynamically —
 as static checks that run in CI and pre-commit:
 
 ========  =============================================================
-DET001    no wall-clock reads in sim/, core/, runtime/, exp/
+DET001    no wall-clock reads in the simulator's packages and exp/
 DET002    no ambient/unseeded RNG in deterministic + serving packages
 DET003    no float ``==``/``!=`` on simulated clocks and deadlines
 ASY001    no blocking calls inside ``async def`` in serve/

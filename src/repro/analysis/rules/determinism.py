@@ -17,14 +17,18 @@ __all__ = ["Det001WallClock", "Det002AmbientRng", "Det003TimeEquality",
            "Seed001SeedlessEntryPoint"]
 
 #: Packages whose behaviour must be a pure function of (inputs, seed):
-#: the simulator core, scheduler, runtime, experiment harness, the
-#: figure and campaign timer package (whose *measurements* are wall time,
-#: but only via the explicitly annotated seam in repro.bench.timers), and the
-#: federation tier (ring placement, crash schedules and migration are
-#: counted in logical placements, never seconds — a dotted entry, so the
-#: rest of ``serve`` keeps its real wall clock).
+#: every package that feeds a simulated run (the simulator core,
+#: scheduler, runtime, interference and memory models, workload models,
+#: machine topology, performance counters and the energy model), the
+#: experiment harness, the figure and campaign timer package (whose
+#: *measurements* are wall time, but only via the explicitly annotated
+#: seam in repro.bench.timers), and the federation tier (ring placement,
+#: crash schedules and migration are counted in logical placements, never
+#: seconds — a dotted entry, so the rest of ``serve`` keeps its real wall
+#: clock).
 DETERMINISTIC_PACKAGES = ("sim", "core", "runtime", "exp", "bench",
-                          "interference", "serve.federation")
+                          "interference", "memory", "workloads", "topology",
+                          "counters", "energy", "serve.federation")
 
 #: DET002/SEED001 additionally cover the serving layer: its *wall time* is
 #: real (latency measurement), but its randomness must still replay.
@@ -56,7 +60,7 @@ class Det001WallClock(Rule):
     id: ClassVar[str] = "DET001"
     title: ClassVar[str] = "wall-clock read in a deterministic package"
     rationale: ClassVar[str] = (
-        "sim/, core/, runtime/ and exp/ must be pure functions of their "
+        "the simulator's packages and exp/ must be pure functions of their "
         "inputs and seed; a wall-clock read makes replay diverge silently."
     )
     packages: ClassVar[tuple[str, ...] | None] = DETERMINISTIC_PACKAGES

@@ -111,13 +111,12 @@ class ChunkAccess:
             start, stop = self._page_span
             pages.first_touch(start, stop, self.exec_node)
         if bf < 1.0:
-            untouched = np.flatnonzero(pages.home == -1)
-            if untouched.size:
+            if pages.num_untouched:
+                untouched = np.flatnonzero(pages.home == -1)
                 want = int(round(span_frac * pages.num_pages * (1.0 - bf)))
                 if want > 0:
                     take = untouched[:: max(1, untouched.size // want)][:want]
-                    for p in take:
-                        pages.first_touch(int(p), int(p) + 1, self.exec_node)
+                    pages.first_touch_pages(take, self.exec_node)
             self.region.blend_last_share(self.exec_node, span_frac * (1.0 - bf))
 
 
@@ -141,31 +140,22 @@ def chunk_access(
         raise MemoryModelError(f"unknown node {exec_node}")
 
     bf = pattern.blocked_fraction
-    weights = np.zeros(num_nodes)
     reuse = 0.0
     span: tuple[int, int] | None = None
-
     if bf > 0.0:
-        start, stop = region.page_span(lo_frac, min(hi_frac, 1.0))
-        span = (start, stop)
-        counts, untouched = pages.home_histogram(start, stop)
-        # untouched pages will be first-touched by the executing node
-        counts[exec_node] += untouched
-        total = counts.sum()
-        weights += bf * counts / total
-        reuse += bf * pages.last_touch_fraction(start, stop, exec_node)
+        span = region.page_span(lo_frac, min(hi_frac, 1.0))
+    # the weights depend on the homes only: reuse them while the region's
+    # home version stands (the memo empties itself when it moves)
+    memo = pages.weight_memo()
+    key = (span, exec_node, bf)
+    weights = memo.get(key)
+    if weights is None:
+        weights = _node_weights(region, span, exec_node, bf, memo)
+        memo[key] = weights
 
+    if span is not None:
+        reuse += bf * pages.last_touch_fraction(span[0], span[1], exec_node)
     if bf < 1.0:
-        home_w = pages.region_home_weights()
-        untouched_frac = pages.untouched_fraction()
-        uni = home_w * (1.0 - untouched_frac)
-        uni[exec_node] += untouched_frac
-        total = uni.sum()
-        if total <= 0.0:
-            uni = np.zeros(num_nodes)
-            uni[exec_node] = 1.0
-            total = 1.0
-        weights += (1.0 - bf) * uni / total
         reuse += (1.0 - bf) * float(region.last_share[exec_node])
 
     return ChunkAccess(
@@ -178,3 +168,59 @@ def chunk_access(
         reuse_fraction=reuse,
         _page_span=span,
     )
+
+
+def _node_weights(
+    region: DataRegion,
+    span: tuple[int, int] | None,
+    exec_node: int,
+    bf: float,
+    memo: dict,
+) -> np.ndarray:
+    """Where a chunk's traffic goes under the current homes (read-only).
+
+    The blocked part follows the homes of the chunk's page span, the
+    uniform part the region-wide home distribution.  Both parts are
+    memoised next to the whole vectors (keyed ``(span, exec_node, bf)``):
+    the uniform part under ``(None, exec_node, bf)`` — for a fully uniform
+    pattern that is the whole vector's key, and ``0.0 + u == u`` — and the
+    blocked part under ``(span, None, bf)`` once every page is homed, when
+    it no longer depends on the executing node.
+    """
+    pages = region.pages
+    num_nodes = pages.num_nodes
+    weights = np.zeros(num_nodes)
+
+    if span is not None:
+        homed = not pages.num_untouched
+        blocked = memo.get((span, None, bf)) if homed else None
+        if blocked is None:
+            counts, untouched = pages.home_histogram(span[0], span[1])
+            # untouched pages will be first-touched by the executing node
+            counts[exec_node] += untouched
+            total = counts.sum()
+            blocked = bf * counts / total
+            if homed:
+                blocked.flags.writeable = False
+                memo[(span, None, bf)] = blocked
+        weights += blocked
+
+    if bf < 1.0:
+        uniform = memo.get((None, exec_node, bf))
+        if uniform is None:
+            home_w = pages.region_home_weights()
+            untouched_frac = pages.untouched_fraction()
+            uni = home_w * (1.0 - untouched_frac)
+            uni[exec_node] += untouched_frac
+            total = uni.sum()
+            if total <= 0.0:
+                uni = np.zeros(num_nodes)
+                uni[exec_node] = 1.0
+                total = 1.0
+            uniform = (1.0 - bf) * uni / total
+            uniform.flags.writeable = False
+            memo[(None, exec_node, bf)] = uniform
+        weights += uniform
+
+    weights.flags.writeable = False
+    return weights

@@ -30,6 +30,14 @@ UNTOUCHED = -1
 class PageState:
     """Mutable per-page home/last-touch state for one data region.
 
+    ``home`` changes only through the mutators below (:meth:`first_touch`,
+    :meth:`first_touch_pages`, :meth:`bind`, :meth:`interleave`).  Each one
+    keeps the untouched-page count current and bumps :attr:`home_version`
+    whenever it may have changed ``home``, so state derived from the homes
+    (the node-weight vectors of :meth:`weight_memo`) is valid exactly while
+    the version stands.  Last-touch state changes on every touch and is
+    never memoised.
+
     Parameters
     ----------
     num_pages:
@@ -40,7 +48,20 @@ class PageState:
         Size of one page in bytes.
     """
 
-    __slots__ = ("num_pages", "num_nodes", "page_bytes", "home", "last", "_home_counts", "_last_counts")
+    __slots__ = (
+        "num_pages",
+        "num_nodes",
+        "page_bytes",
+        "home",
+        "last",
+        "num_untouched",
+        "home_version",
+        "_home_counts",
+        "_last_counts",
+        "_num_unvisited",
+        "_memo",
+        "_memo_version",
+    )
 
     def __init__(self, num_pages: int, num_nodes: int, page_bytes: int = DEFAULT_PAGE_BYTES):
         if num_pages < 1:
@@ -58,6 +79,14 @@ class PageState:
         # the mutation helpers below.
         self._home_counts = np.zeros(num_nodes, dtype=np.int64)
         self._last_counts = np.zeros(num_nodes, dtype=np.int64)
+        #: pages whose ``home`` is still UNTOUCHED
+        self.num_untouched = num_pages
+        #: bumped by every mutator that may have changed ``home``
+        self.home_version = 0
+        # pages whose ``last`` is still UNTOUCHED
+        self._num_unvisited = num_pages
+        self._memo: dict = {}
+        self._memo_version = 0
 
     # ------------------------------------------------------------------
     # mutation
@@ -70,23 +99,54 @@ class PageState:
         """
         self._check_range(start, stop)
         self._check_node(node)
-        sl = self.home[start:stop]
-        mask = sl == UNTOUCHED
-        homed = int(mask.sum())
-        if homed:
-            sl[mask] = node
-            self._home_counts[node] += homed
+        homed = 0
+        if self.num_untouched:
+            sl = self.home[start:stop]
+            mask = sl == UNTOUCHED
+            homed = int(np.count_nonzero(mask))
+            if homed:
+                sl[mask] = node
+                self._home_counts[node] += homed
+                self.num_untouched -= homed
+                self.home_version += 1
         self.record_touch(start, stop, node)
+        return homed
+
+    def first_touch_pages(self, pages: np.ndarray, node: int) -> int:
+        """First-touch the scattered pages at the distinct indices ``pages``.
+
+        The same state change as ``first_touch(p, p + 1, node)`` for every
+        ``p`` in ``pages``, in one vectorised call; returns how many pages
+        were homed.
+        """
+        self._check_node(node)
+        if pages.size == 0:
+            return 0
+        if int(pages.min()) < 0 or int(pages.max()) >= self.num_pages:
+            raise MemoryModelError(
+                f"page indices outside region of {self.num_pages} pages"
+            )
+        fresh = pages[self.home[pages] == UNTOUCHED]
+        homed = int(fresh.size)
+        if homed:
+            self.home[fresh] = node
+            self._home_counts[node] += homed
+            self.num_untouched -= homed
+            self.home_version += 1
+        old = self.last[pages]
+        if self._num_unvisited:
+            old = old[old != UNTOUCHED]
+            self._num_unvisited -= pages.size - old.size
+        self._last_counts -= np.bincount(old, minlength=self.num_nodes)
+        self.last[pages] = node
+        self._last_counts[node] += pages.size
         return homed
 
     def bind(self, start: int, stop: int, node: int) -> None:
         """Force pages ``[start, stop)`` onto ``node`` (``numactl --membind``)."""
         self._check_range(start, stop)
         self._check_node(node)
-        old = self.home[start:stop]
-        touched = old[old != UNTOUCHED]
-        if touched.size:
-            np.subtract.at(self._home_counts, touched, 1)
+        self._unhome(start, stop)
         self.home[start:stop] = node
         self._home_counts[node] += stop - start
 
@@ -97,33 +157,56 @@ class PageState:
             raise MemoryModelError("interleave requires at least one node")
         for n in nodes:
             self._check_node(n)
-        old = self.home[start:stop]
-        touched = old[old != UNTOUCHED]
-        if touched.size:
-            np.subtract.at(self._home_counts, touched, 1)
+        self._unhome(start, stop)
         pattern = np.asarray(nodes, dtype=np.int32)
         assignment = pattern[np.arange(start, stop) % len(nodes)]
         self.home[start:stop] = assignment
-        np.add.at(self._home_counts, assignment, 1)
+        self._home_counts += np.bincount(assignment, minlength=self.num_nodes)
 
     def record_touch(self, start: int, stop: int, node: int) -> None:
         """Update last-touch state for pages ``[start, stop)``."""
         self._check_range(start, stop)
         self._check_node(node)
         sl = self.last[start:stop]
-        old = sl[sl != UNTOUCHED]
+        old = sl
+        if self._num_unvisited:
+            old = sl[sl != UNTOUCHED]
+            self._num_unvisited -= (stop - start) - old.size
         if old.size:
-            np.subtract.at(self._last_counts, old, 1)
-        sl[:] = node
+            self._last_counts -= np.bincount(old, minlength=self.num_nodes)
+        sl.fill(node)
         self._last_counts[node] += stop - start
+
+    def _unhome(self, start: int, stop: int) -> None:
+        """Drop pages ``[start, stop)`` from the home counts before a re-home."""
+        old = self.home[start:stop]
+        touched = old[old != UNTOUCHED]
+        if touched.size:
+            self._home_counts -= np.bincount(touched, minlength=self.num_nodes)
+        self.num_untouched -= (stop - start) - touched.size
+        self.home_version += 1
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def weight_memo(self) -> dict:
+        """Memo of node-weight vectors derived from the current homes.
+
+        Emptied on the first call after :attr:`home_version` moved, so an
+        entry is only ever served under the version it was built for.
+        Callers store read-only vectors.
+        """
+        if self._memo_version != self.home_version:
+            self._memo = {}
+            self._memo_version = self.home_version
+        return self._memo
+
     def home_histogram(self, start: int, stop: int) -> tuple[np.ndarray, int]:
         """Per-node home counts for ``[start, stop)`` plus untouched count."""
         self._check_range(start, stop)
         sl = self.home[start:stop]
+        if not self.num_untouched:
+            return np.bincount(sl, minlength=self.num_nodes).astype(np.float64), 0
         touched = sl[sl != UNTOUCHED]
         counts = np.bincount(touched, minlength=self.num_nodes).astype(np.float64)
         return counts, int((stop - start) - touched.size)
@@ -132,8 +215,9 @@ class PageState:
         """Fraction of pages ``[start, stop)`` last touched by ``node``."""
         self._check_range(start, stop)
         self._check_node(node)
-        sl = self.last[start:stop]
-        return float((sl == node).sum()) / (stop - start)
+        # chunk spans are a few pages: counting in a list beats a NumPy
+        # compare and reduction
+        return float(self.last[start:stop].tolist().count(node)) / (stop - start)
 
     def region_home_weights(self) -> np.ndarray:
         """Region-wide home distribution as weights over nodes.
@@ -159,6 +243,10 @@ class PageState:
     def home_counts(self) -> np.ndarray:
         """Copy of the cached per-node home-page counts."""
         return self._home_counts.copy()
+
+    def last_counts(self) -> np.ndarray:
+        """Copy of the cached per-node last-touch page counts."""
+        return self._last_counts.copy()
 
     # ------------------------------------------------------------------
     def _check_range(self, start: int, stop: int) -> None:

@@ -145,15 +145,17 @@ class TaskloopExecutor:
         differential oracle), with three hot-path substitutions:
 
         * slowdowns come from the :class:`~repro.sim.incremental.
-          IncrementalInterference` cache (only dirty rows recomputed,
-          with the reference's own expressions);
+          IncrementalInterference` cache (rows recomputed with the
+          reference's own expressions, only on a change);
         * dispatch walks a maintained idle-core list in ascending core
           order — the same ``acquire`` call sequence the reference's
           full-pool scan makes, without touching active workers;
         * completion times and the advance run maskless over all cores
           into preallocated buffers, with idle cores parked at
-          ``rem = inf`` so every idle lane is an exact bitwise no-op of
-          the reference's masked computation.
+          ``ov = inf, rem = 0`` so every idle lane is an exact bitwise
+          no-op of the reference's masked computation: its completion
+          time is ``inf``, its overhead burns the whole step at no cost,
+          its body progresses by exactly ``0.0`` and it never completes.
         """
         ctx = self.ctx
         states = ctx.states
@@ -191,15 +193,15 @@ class TaskloopExecutor:
         tmp = np.empty(num_cores)
         body_wall = np.empty(num_cores)
         prog = np.empty(num_cores)
-        before = np.empty(num_cores)
+        new_rem = np.empty(num_cores)
         delta = np.empty(num_cores)
         done = np.empty(num_cores, dtype=bool)
-        ov_small = np.empty(num_cores, dtype=bool)
-        inactive = np.empty(num_cores, dtype=bool)
+        minimum = np.minimum.reduce
 
-        # park idle cores at rem = inf: (ov + inf*s)/speed = inf reproduces
-        # the reference's inf fill without building a mask every step
-        rem[~active] = np.inf
+        # park idle cores at ov = inf (rem is 0.0 on every idle core):
+        # (inf + 0*s)/speed = inf reproduces the reference's inf fill
+        # without building a mask every step
+        ov[~active] = np.inf
         try:
             while executed < total_chunks:
                 if active_count == 0 and not (
@@ -228,7 +230,7 @@ class TaskloopExecutor:
                 np.divide(times, speed_div, out=times)
                 if any_offline:
                     np.copyto(times, np.inf, where=offline)
-                dt_complete = float(times.min())
+                dt_complete = float(minimum(times))
                 dt_event = events.next_time() - clock.now
                 dt = min(dt_complete, max(dt_event, 0.0))
                 if not math.isfinite(dt):
@@ -240,9 +242,10 @@ class TaskloopExecutor:
                     )
                 if dt != 0.0:
                     # fused CoreStates.advance: expression-identical on
-                    # active lanes, exact no-op on idle lanes (ov = 0,
-                    # rem = inf, slowdown = 1) and on offline lanes (burn
-                    # covers the step at speed 0: nothing progresses)
+                    # active lanes, exact no-op on idle lanes (ov = inf,
+                    # rem = 0, slowdown = 1: the step burns as overhead)
+                    # and on offline lanes (burn covers the step at speed
+                    # 0: nothing progresses)
                     np.divide(ov, speed_div, out=ov_wall)
                     if any_offline:
                         np.copyto(ov_wall, np.inf, where=offline)
@@ -252,22 +255,16 @@ class TaskloopExecutor:
                     np.subtract(dt, burn, out=body_wall)
                     np.multiply(body_wall, speed, out=prog)
                     np.divide(prog, slowdown, out=prog)
-                    before[:] = rem
-                    np.subtract(before, prog, out=tmp)
-                    np.maximum(tmp, 0.0, out=rem)
-                    np.multiply(active, dt, out=tmp)
-                    busy_time += tmp
-                    np.logical_not(active, out=inactive)
-                    # masked: idle lanes would be inf - inf; zeroed instead
-                    np.subtract(before, rem, out=delta, where=active)
-                    np.copyto(delta, 0.0, where=inactive)
+                    np.subtract(rem, prog, out=tmp)
+                    np.maximum(tmp, 0.0, out=new_rem)
+                    np.add(busy_time, dt, out=busy_time, where=active)
+                    np.subtract(rem, new_rem, out=delta)
                     work_done += delta
-                    np.less_equal(rem, EPS, out=done)
-                    np.less_equal(ov, EPS, out=ov_small)
-                    done &= ov_small
-                    completed = (
-                        [int(c) for c in np.nonzero(done)[0]] if done.any() else []
-                    )
+                    rem[:] = new_rem
+                    # rem <= EPS and ov <= EPS, as one compare
+                    np.maximum(rem, ov, out=tmp)
+                    np.less_equal(tmp, EPS, out=done)
+                    completed = done.nonzero()[0].tolist()
                 else:
                     completed = []
                 online_epoch = states.online_epoch
@@ -275,7 +272,7 @@ class TaskloopExecutor:
                 sim.run_due_events()
                 for core in completed:
                     running: _Running = states.finish(core)
-                    rem[core] = np.inf  # finish reset it to 0.0; re-park
+                    ov[core] = np.inf  # finish reset it to 0.0; re-park
                     running.access.commit()
                     executed += 1
                     self._trace_task(running, core)
@@ -290,8 +287,8 @@ class TaskloopExecutor:
                     steals_remote += sr
                     active_count = num_workers - len(idle)
         finally:
-            # leave idle cores exactly as the reference does (rem = 0.0)
-            rem[~states.active] = 0.0
+            # leave idle cores exactly as the reference does (ov = 0.0)
+            ov[~states.active] = 0.0
         return executed, steals_local, steals_remote
 
     # ------------------------------------------------------------------

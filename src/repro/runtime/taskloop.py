@@ -13,6 +13,8 @@ one-block-per-thread partitioning of the static work-sharing baseline.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import RuntimeModelError
@@ -72,26 +74,42 @@ def partition(work: TaskloopWork, num_chunks: int | None = None) -> list[Chunk]:
     passes the thread count to get one block per thread).
     """
     n_chunks = work.num_tasks if num_chunks is None else num_chunks
-    bounds = chunk_bounds(work.total_iters, n_chunks)
-    chunks: list[Chunk] = []
     total = work.total_iters
-    for i, (lo, hi) in enumerate(bounds):
-        lo_f, hi_f = lo / total, hi / total
-        mass = profile_mass(work.weights, lo_f, hi_f)
-        body = work.work_seconds * mass
+    bounds = chunk_bounds(total, n_chunks)
+    bodies = _bodies(total, n_chunks, work.work_seconds, work.weights.tobytes())
+    return [
+        Chunk(
+            work=work,
+            index=i,
+            lo=lo,
+            hi=hi,
+            lo_frac=lo / total,
+            hi_frac=hi / total,
+            body_time=body,
+        )
+        for i, ((lo, hi), body) in enumerate(zip(bounds, bodies))
+    ]
+
+
+@functools.lru_cache(maxsize=256)
+def _bodies(
+    total_iters: int, n_chunks: int, work_seconds: float, weights: bytes
+) -> tuple[float, ...]:
+    """Profile-weighted base time of every chunk.
+
+    A pure function of its arguments, memoised: a loop meets the same
+    trip count, profile and chunk count on every timestep, and the
+    profile masses cost more than building the chunks.  The profile
+    travels as its raw bytes so the key hashes by value.
+    """
+    profile = np.frombuffer(weights)
+    bodies = []
+    for lo, hi in chunk_bounds(total_iters, n_chunks):
+        mass = profile_mass(profile, lo / total_iters, hi / total_iters)
+        body = work_seconds * mass
         if body <= 0.0:
             # degenerate profile cell: give the chunk a floor cost so the
             # simulator never sees a zero-length task
-            body = work.work_seconds * 1e-9
-        chunks.append(
-            Chunk(
-                work=work,
-                index=i,
-                lo=lo,
-                hi=hi,
-                lo_frac=lo_f,
-                hi_frac=hi_f,
-                body_time=body,
-            )
-        )
-    return chunks
+            body = work_seconds * 1e-9
+        bodies.append(body)
+    return tuple(bodies)

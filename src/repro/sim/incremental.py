@@ -25,13 +25,22 @@ refreshes only what a consumed change log says is stale:
    reference compacts over ``active & online``), which the fast path
    mirrors by zeroing the offline rows of its demand cache.
 
+On a small machine (at most :data:`DENSE_MAX_CELLS` core × node cells,
+the 64-core Zen 4 among them) step 3 is replaced by the widest superset,
+every row, recomputed maskless: nearly every active row is dirty whenever
+a node's ratio moves, and selecting them costs more NumPy calls than it
+saves.  Either way each row's operands — ``weights × latency``,
+``1 + gamma`` and ``1 - mem_frac`` — are formed once per task start from
+the change log, not once per refresh.
+
 Byte-identity with the reference engine is a design invariant, not an
 approximation: every refreshed quantity is recomputed with the *same
 numpy expressions* the reference uses, and a skipped row is skipped only
 when recomputing it would be a no-op (its inputs — weights, latency,
 gamma, mem_frac and the ratio entries its nonzero weights select — are
 bitwise unchanged, and row-wise ``sum(axis=1)`` reductions are
-independent across rows).  The differential suite in
+independent across rows; an idle row recomputes to exactly the
+reference's ``1.0``).  The differential suite in
 ``tests/sim/test_engine_equivalence.py`` pins this down run-for-run
 against the oracle in :mod:`repro.runtime.reference`.
 
@@ -54,6 +63,14 @@ from repro.sim.progress import CoreStates
 __all__ = ["IncrementalInterference"]
 
 
+#: Machines with at most this many (core, node) cells recompute every
+#: slowdown row on each refresh: on the 64-core Zen 4 (512 cells) a
+#: maskless pass over all rows costs fewer NumPy calls than selecting the
+#: dirty ones, and nearly every active row is dirty when a node's ratio
+#: moves.  Wider machines keep the dirty-row selection.
+DENSE_MAX_CELLS = 4096
+
+
 class IncrementalInterference:
     """Cached, change-driven view of one machine's interference state.
 
@@ -69,33 +86,49 @@ class IncrementalInterference:
         "_sat",
         "_sat_mean",
         "_sat_max",
-        "_scalars_stale",
+        "_mean_stale",
         "_prod",
         "_demand_full",
+        "_wl",
+        "_g1",
+        "_omf",
+        "_exponents",
+        "_dense",
     )
 
     def __init__(self, model: InterferenceModel, states: CoreStates):
         num_nodes = states.num_nodes
-        if model.latency.shape != (states.num_cores, num_nodes):
+        num_cores = states.num_cores
+        if model.latency.shape != (num_cores, num_nodes):
             raise SimulationError("core states do not match this machine")
         self.model = model
         self.states = states
         # caches mirror the all-idle reference outputs exactly
-        self._s = np.ones(states.num_cores)
+        self._s = np.ones(num_cores)
         self._ratio = np.ones(num_nodes)
         self._sat = np.zeros(num_nodes)
         self._sat_mean = 0.0
         self._sat_max = 0.0
-        self._scalars_stale = False
+        self._mean_stale = False
         # Demand cache: prod[c] == mem_frac[c] * weights[c] for active
         # cores, an all-zero row otherwise, so that prod.sum(axis=0)
         # reproduces the reference's compacted active-row sum bit for bit
         # (see _padded_sum_matches_compacted).  When the identity cannot
         # be relied on, fall back to the reference node_demand per step.
-        self._prod = np.zeros((states.num_cores, num_nodes))
+        self._prod = np.zeros((num_cores, num_nodes))
         self._demand_full = num_nodes < 2 or not _padded_sum_matches_compacted(
-            min(states.num_cores, 257), num_nodes
+            min(num_cores, 257), num_nodes
         )
+        # Per-row operands of the slowdown expression, formed once per task
+        # start from the change log: weights * latency, 1 + gamma and
+        # 1 - mem_frac.  Idle rows hold 0, 0 and 1, so an idle row that is
+        # recomputed comes out exactly 1.0, the reference's idle value.
+        self._wl = np.zeros((num_cores, num_nodes))
+        self._g1 = np.zeros(num_cores)
+        self._omf = np.ones(num_cores)
+        # active rows per distinct 1 + gamma
+        self._exponents: dict[float, int] = {}
+        self._dense = num_cores * num_nodes <= DENSE_MAX_CELLS
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:
@@ -110,51 +143,99 @@ class IncrementalInterference:
             return
         model = self.model
         a = states.active
-        if not a.any():
-            # reference all-idle outputs: s = 1, sat = 0, ratio = 1
-            self._s[:] = 1.0
-            self._sat[:] = 0.0
-            self._ratio[:] = 1.0
-            self._sat_mean = 0.0
-            self._sat_max = 0.0
-            self._scalars_stale = False
-            if not self._demand_full:
-                prod = self._prod
-                for core in changed:
+        online = states.online
+        mem_frac = states.mem_frac
+        weights = states.weights
+        latency = model.latency
+        gamma = states.gamma
+        prod = self._prod
+        wl = self._wl
+        g1 = self._g1
+        omf = self._omf
+        s = self._s
+        exponents = self._exponents
+        # the per-row operands and demand rows of every started, finished
+        # or flipped core, with the reference's own expressions; a core
+        # that finished and started again this step is logged twice but
+        # rebuilt once, from its current state
+        for core in set(changed):
+            old = g1[core]
+            if a[core]:
+                np.multiply(weights[core], latency[core], out=wl[core])
+                new = 1.0 + gamma[core]
+                omf[core] = 1.0 - mem_frac[core]
+                if online[core]:
+                    np.multiply(mem_frac[core], weights[core], out=prod[core])
+                else:
                     prod[core] = 0.0
-            changed.clear()
-            return
+            else:
+                new = 0.0
+                wl[core] = 0.0
+                omf[core] = 1.0
+                prod[core] = 0.0
+                s[core] = 1.0
+            if new != old:
+                g1[core] = new
+                if old:
+                    exponents[old] -= 1
+                    if not exponents[old]:
+                        del exponents[old]
+                if new:
+                    exponents[new] = exponents.get(new, 0) + 1
         # demand/saturation/ratio: recomputed on every membership change —
         # the active-set sum's rounding depends on set membership, so any
         # start/finish can move any node's demand by ulps.  The fast path
-        # keeps prod rows current from the change log and reduces the full
-        # matrix (idle rows are exact +0.0 identities in the sequential
-        # axis-0 sum); the fallback is the reference expression verbatim.
+        # reduces the full prod matrix (idle rows are exact +0.0
+        # identities in the sequential axis-0 sum); the fallback is the
+        # reference expression verbatim.
         if self._demand_full:
             demand = model.node_demand(states)
         else:
-            prod = self._prod
-            mem_frac = states.mem_frac
-            weights = states.weights
-            online = states.online
-            for core in changed:
-                if a[core] and online[core]:
-                    prod[core] = mem_frac[core] * weights[core]
-                else:
-                    prod[core] = 0.0
             demand = model.bandwidth.core_bandwidth * np.add.reduce(prod, axis=0)
         sat = demand / model.bandwidth.node_bandwidth
         ratio = np.maximum(sat, 1.0)
+        # the saturation maximum feeds the counters and decides the branch
+        # below: every ratio is 1.0 exactly when no saturation exceeds 1.0
+        sat_max = float(np.maximum.reduce(sat))
+        rows = slice(None) if self._dense else self._dirty_rows(changed, a, ratio)
+        if self._dense or rows.size:
+            # identical per-row expressions to InterferenceModel.slowdowns;
+            # both branches agree bitwise on every row (ratio == 1 makes the
+            # penalty exactly 1.0), so the branch choice is pure speed
+            if sat_max <= 1.0:
+                mem_mult = np.add.reduce(wl[rows], axis=1)
+            else:
+                log_r = np.log(ratio)
+                if len(exponents) == 1:
+                    # one exponent on every active row (one taskloop runs
+                    # at a time): its penalty row, broadcast; idle rows
+                    # have wl = 0 and take any finite penalty
+                    (g,) = exponents
+                    penalty = np.exp(g * log_r)
+                else:
+                    penalty = np.exp(np.multiply.outer(g1[rows], log_r))
+                mem_mult = np.add.reduce(wl[rows] * penalty, axis=1)
+            np.multiply(mem_frac[rows], mem_mult, out=mem_mult)
+            if self._dense:
+                np.add(omf, mem_mult, out=s)
+            else:
+                s[rows] = omf[rows] + mem_mult
+        self._sat = sat
+        self._sat_max = sat_max
+        self._ratio = ratio
+        self._mean_stale = True
+        changed.clear()
+
+    def _dirty_rows(self, changed: list[int], a: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+        """Rows to recompute on a wide machine: every started core, plus
+        every active core whose chunk has weight on a node whose ratio
+        moved (bitwise ``!=``, no tolerance)."""
+        states = self.states
         dirty_nodes = np.nonzero(ratio != self._ratio)[0]
-        # rows to refresh: every started/finished core, plus every active
-        # core whose chunk has weight on a node whose ratio moved
         dirty = np.zeros(states.num_cores, dtype=bool)
-        s = self._s
         for core in changed:
             if a[core]:
                 dirty[core] = True
-            else:
-                s[core] = 1.0
         if dirty_nodes.size:
             np.logical_or(
                 dirty,
@@ -162,25 +243,7 @@ class IncrementalInterference:
                 out=dirty,
             )
             dirty &= a
-        cores = np.nonzero(dirty)[0]
-        if cores.size:
-            # identical per-row expressions to InterferenceModel.slowdowns;
-            # both branches agree bitwise on every row (ratio == 1 makes the
-            # penalty exactly 1.0), so the branch choice is pure speed
-            if np.all(ratio == 1.0):
-                mem_mult = (states.weights[cores] * model.latency[cores]).sum(axis=1)
-            else:
-                log_r = np.log(ratio)
-                penalty = np.exp(np.outer(1.0 + states.gamma[cores], log_r))
-                mem_mult = (
-                    states.weights[cores] * model.latency[cores] * penalty
-                ).sum(axis=1)
-            mf = states.mem_frac[cores]
-            s[cores] = (1.0 - mf) + mf * mem_mult
-        self._sat = sat
-        self._ratio = ratio
-        self._scalars_stale = True
-        changed.clear()
+        return np.nonzero(dirty)[0]
 
     # ------------------------------------------------------------------
     def slowdowns(self) -> np.ndarray:
@@ -201,15 +264,14 @@ class IncrementalInterference:
         :meth:`repro.counters.metrics.CounterBoard.step` consumes it.
         """
         self.refresh()
-        if self._scalars_stale:
-            # np.add.reduce / np.maximum.reduce are the kernels ndarray
-            # .mean()/.max() bottom out in (umr_sum / umr_maximum), minus
-            # the python wrapper cost; the division by the int length is
-            # the same op _mean performs
+        if self._mean_stale:
+            # np.add.reduce / np.maximum.reduce (in refresh) are the kernels
+            # ndarray .mean()/.max() bottom out in (umr_sum / umr_maximum),
+            # minus the python wrapper cost; the division by the int length
+            # is the same op _mean performs
             sat = self._sat
             self._sat_mean = float(np.add.reduce(sat) / sat.shape[0])
-            self._sat_max = float(np.maximum.reduce(sat))
-            self._scalars_stale = False
+            self._mean_stale = False
         return self._sat_mean, self._sat_max
 
 

@@ -5,13 +5,20 @@ false-positive guard; snippets are inline strings so the analyzer can
 scan ``tests/`` without tripping over its own fixtures.
 """
 
+import pytest
+
 from tests.analysis.conftest import CORE, EXP, OUTSIDE, RUNTIME, SERVE, SIM
+
+#: every package that feeds a simulated run is in DET001's scope, not just
+#: the simulator core
+SIMULATION_PACKAGES = ["sim", "memory", "workloads", "topology", "counters", "energy"]
 
 
 class TestDet001WallClock:
-    def test_attribute_call_flagged(self, check):
+    @pytest.mark.parametrize("package", SIMULATION_PACKAGES)
+    def test_attribute_call_flagged(self, check, package):
         findings = check(
-            SIM,
+            f"src/repro/{package}/fixture.py",
             """
             import time
 

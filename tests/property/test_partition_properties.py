@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.runtime.taskloop import chunk_bounds, profile_mass
+from repro.memory.access import AccessPattern
+from repro.memory.allocator import MemoryMap
+from repro.runtime.task import TaskloopWork
+from repro.runtime.taskloop import chunk_bounds, partition, profile_mass
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,3 +81,30 @@ def test_profile_mass_additive(weights, lo, mid, hi):
     whole = profile_mass(w, lo, hi)
     parts = profile_mass(w, lo, mid) + profile_mass(w, mid, hi)
     assert abs(whole - parts) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    profiles=st.lists(weights_strategy, min_size=1, max_size=4),
+    total=st.integers(min_value=1, max_value=2000),
+    work_seconds=st.sampled_from([0.01, 0.25, 3.0]),
+    data=st.data(),
+)
+def test_partition_matches_unmemoised_chunks(profiles, total, work_seconds, data):
+    """Chunk layouts are memoised by value across encounters: every chunk,
+    on every repeated and interleaved encounter of several profiles,
+    equals the from-scratch bounds and profile-weighted body time."""
+    n = data.draw(st.integers(min_value=1, max_value=min(total, 64)))
+    region = MemoryMap(num_nodes=1).allocate("r", 1024)
+    for weights in profiles + profiles:
+        work = TaskloopWork(
+            uid="p.loop", name="loop", total_iters=total, num_tasks=n,
+            work_seconds=work_seconds, mem_frac=0.5, weights=weights,
+            region=region, pattern=AccessPattern.blocked(),
+        )
+        chunks = partition(work)
+        assert [(c.lo, c.hi) for c in chunks] == chunk_bounds(total, n)
+        for c in chunks:
+            assert c.lo_frac == c.lo / total and c.hi_frac == c.hi / total
+            body = work_seconds * profile_mass(work.weights, c.lo_frac, c.hi_frac)
+            assert c.body_time == (body if body > 0.0 else work_seconds * 1e-9)

@@ -18,6 +18,8 @@ anywhere: a single flipped mantissa bit anywhere in a run fails.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from repro.runtime.context import RunContext
 from repro.runtime.reference import ReferenceRuntime
 from repro.runtime.runtime import OpenMPRuntime
 from repro.runtime.schedulers import create_scheduler
+from repro.sim import incremental
 from repro.topology.machine import GIB, MIB, MachineTopology
 from repro.topology.presets import (
     dual_socket_small,
@@ -110,6 +113,60 @@ def assert_contexts_identical(c1: RunContext, c2: RunContext) -> None:
     assert np.array_equal(c1.states.work_done, c2.states.work_done)
     assert np.array_equal(c1.states.rem, c2.states.rem)
     assert c1.sim.now == c2.sim.now
+
+
+# ----------------------------------------------------------------------
+# suite 0: the slowdown cache against the reference model, op by op
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(PRESETS)),
+    dense=st.booleans(),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["start", "finish", "offline", "online"]),
+            st.integers(0, 63),
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, 0.8, 2.5]),
+            st.integers(0, 7),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_slowdown_cache_matches_reference_model(preset, dense, ops):
+    """Random starts, finishes and online flips straight on the core
+    states, tasks mixing several contention exponents, several changes
+    logged between refreshes: at every check the cached slowdowns,
+    saturation and its scalars equal the reference model's from-scratch
+    values bit for bit, on the every-row and the dirty-row path alike."""
+    with mock.patch.object(incremental, "DENSE_MAX_CELLS", 4096 if dense else 0):
+        ctx = RunContext.create(PRESETS[preset](), seed=0)
+    states, model, inc = ctx.states, ctx.interference, ctx.incremental
+    assert inc._dense == dense
+    cores, nodes = states.num_cores, states.num_nodes
+    for i, (kind, core, mem_frac, gamma, node, check) in enumerate(ops):
+        core %= cores
+        if kind == "start" and not states.active[core]:
+            weights = np.zeros(nodes)
+            weights[node % nodes] = 1.0 - mem_frac / 2
+            weights[(node + 1) % nodes] += mem_frac / 2
+            states.start(core, body=1.0, overhead=0.0, mem_frac=mem_frac,
+                         gamma=gamma, weights=weights, payload=None)
+        elif kind == "finish" and states.active[core]:
+            states.finish(core)
+        elif kind in ("offline", "online"):
+            online = states.online.copy()
+            online[core] = kind == "online"
+            states.set_online(online)
+        if not check and i < len(ops) - 1:
+            continue
+        s_ref, sat_ref = model.slowdowns_and_saturation(states)
+        s_inc, sat_inc = inc.slowdowns_and_saturation()
+        assert s_inc.tobytes() == s_ref.tobytes()
+        assert sat_inc.tobytes() == sat_ref.tobytes()
+        assert inc.saturation_scalars() == (float(sat_ref.mean()), float(sat_ref.max()))
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +386,28 @@ def test_offline_while_core_occupied_byte_identical():
         per_engine.append((ctx, result))
     assert_results_identical(per_engine[0][1], per_engine[1][1])
     assert_contexts_identical(per_engine[0][0], per_engine[1][0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(taskset_params(), asym_campaign_params())
+def test_dirty_row_refresh_byte_identical(taskset, asym):
+    """Machines wider than ``DENSE_MAX_CELLS`` refresh only the dirty
+    slowdown rows.  Forced onto the small presets, that path must match
+    the oracle on arbitrary task sets and on asymmetry timelines with
+    offline cores, like the every-row path the presets normally take."""
+    ctx_ref, res_ref = _run_taskloops(ORACLE, taskset)
+    with mock.patch.object(incremental, "DENSE_MAX_CELLS", 0):
+        ctx_inc, res_inc = _run_taskloops(PRODUCTION, taskset)
+    assert not ctx_inc.incremental._dense
+    for r1, r2 in zip(res_ref, res_inc, strict=True):
+        assert_taskloop_identical(r1, r2)
+    assert_contexts_identical(ctx_ref, ctx_inc)
+
+    ctx_ref, res_ref = _run_asym_campaign(ORACLE, asym)
+    with mock.patch.object(incremental, "DENSE_MAX_CELLS", 0):
+        ctx_inc, res_inc = _run_asym_campaign(PRODUCTION, asym)
+    assert_results_identical(res_ref, res_inc)
+    assert_contexts_identical(ctx_ref, ctx_inc)
 
 
 # ----------------------------------------------------------------------
