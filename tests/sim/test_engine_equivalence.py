@@ -141,7 +141,7 @@ def test_slowdown_cache_matches_reference_model(preset, dense, ops):
     logged between refreshes: at every check the cached slowdowns,
     saturation and its scalars equal the reference model's from-scratch
     values bit for bit, on the every-row and the dirty-row path alike."""
-    with mock.patch.object(incremental, "DENSE_MAX_CELLS", 4096 if dense else 0):
+    with mock.patch.object(incremental, "DENSE_MAX_CELLS", 2**62 if dense else 0):
         ctx = RunContext.create(PRESETS[preset](), seed=0)
     states, model, inc = ctx.states, ctx.interference, ctx.incremental
     assert inc._dense == dense
