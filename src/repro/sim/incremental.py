@@ -11,45 +11,37 @@ speed, which feeds completion times but never slowdowns, so they stay out
 of the log).
 
 :class:`IncrementalInterference` therefore caches the slowdown vector and
-refreshes only what a consumed change log says is stale:
+the per-row operands of its expression, and refreshes from a consumed
+change log:
 
-1. per-node demand is always recomputed with the reference expression —
+1. each started, finished or flipped core's operands — ``weights ×
+   latency``, ``1 + gamma``, ``1 - mem_frac`` and its demand row — are
+   formed once, from the log, with the reference's own expressions; an
+   offline core's frozen task issues no demand (the reference compacts
+   over ``active & online``), which the fast path mirrors by zeroing the
+   offline rows of its demand cache;
+2. per-node demand is always recomputed with the reference expression —
    it is a sum over the active set, so any membership change can perturb
-   every node's float sum;
-2. nodes whose saturation *ratio* changed (exact bitwise ``!=`` against
-   the cached vector) form the dirty-node set;
-3. the rows refreshed are exactly (cores that started, finished, or
-   flipped online state) ∪ (active cores with a nonzero home-node weight
-   on a dirty node) — a superset of every core whose slowdown can have
-   changed.  An offline core's frozen task issues no demand (the
-   reference compacts over ``active & online``), which the fast path
-   mirrors by zeroing the offline rows of its demand cache.
-
-On a small machine (at most :data:`DENSE_MAX_CELLS` core × node cells,
-the 64-core Zen 4 among them) step 3 is replaced by the widest superset,
-every row, recomputed maskless: nearly every active row is dirty whenever
-a node's ratio moves, and selecting them costs more NumPy calls than it
-saves.  Either way each row's operands — ``weights × latency``,
-``1 + gamma`` and ``1 - mem_frac`` — are formed once per task start from
-the change log, not once per refresh.
+   every node's float sum — and with it saturation and ratio;
+3. every slowdown row is then recomputed from the cached operands in one
+   maskless pass: a node's ratio feeds every row with weight on it, and
+   selecting the rows whose inputs moved costs more NumPy calls than it
+   saves.
 
 Byte-identity with the reference engine is a design invariant, not an
 approximation: every refreshed quantity is recomputed with the *same
-numpy expressions* the reference uses, and a skipped row is skipped only
-when recomputing it would be a no-op (its inputs — weights, latency,
-gamma, mem_frac and the ratio entries its nonzero weights select — are
-bitwise unchanged, and row-wise ``sum(axis=1)`` reductions are
-independent across rows; an idle row recomputes to exactly the
-reference's ``1.0``).  The differential suite in
-``tests/sim/test_engine_equivalence.py`` pins this down run-for-run
-against the oracle in :mod:`repro.runtime.reference`.
+numpy expressions* the reference uses, on the same operands in the same
+order (row-wise ``sum(axis=1)`` reductions are independent across rows,
+and an idle row recomputes to exactly the reference's ``1.0``).  The
+differential suite in ``tests/sim/test_engine_equivalence.py`` pins this
+down run-for-run against the oracle in :mod:`repro.runtime.reference`.
 
-One caveat is inherited from the reference expression itself: a zero
-weight silences a dirty node's ratio only because ``0.0 * penalty == 0.0``
-for finite penalties.  A penalty overflowing to ``inf`` (``ratio ** (1 +
-gamma) > 1e308``, far outside the model's calibrated range) would poison
-the reference's row with ``nan`` while the incremental path keeps its
-finite cache; the equivalence suite bounds ``gamma`` accordingly.
+One caveat is inherited from the reference expression itself: an idle
+row (and a zero weight) contributes nothing only because ``0.0 * penalty
+== 0.0`` for finite penalties.  A penalty overflowing to ``inf`` (``ratio
+** (1 + gamma) > 1e308``, far outside the model's calibrated range) would
+turn those products into ``nan``; the equivalence suite bounds ``gamma``
+accordingly.
 """
 
 from __future__ import annotations
@@ -63,14 +55,6 @@ from repro.sim.progress import CoreStates
 __all__ = ["IncrementalInterference"]
 
 
-#: Machines with at most this many (core, node) cells recompute every
-#: slowdown row on each refresh: on the 64-core Zen 4 (512 cells) a
-#: maskless pass over all rows costs fewer NumPy calls than selecting the
-#: dirty ones, and nearly every active row is dirty when a node's ratio
-#: moves.  Wider machines keep the dirty-row selection.
-DENSE_MAX_CELLS = 4096
-
-
 class IncrementalInterference:
     """Cached, change-driven view of one machine's interference state.
 
@@ -82,7 +66,6 @@ class IncrementalInterference:
         "model",
         "states",
         "_s",
-        "_ratio",
         "_sat",
         "_sat_mean",
         "_sat_max",
@@ -93,7 +76,6 @@ class IncrementalInterference:
         "_g1",
         "_omf",
         "_exponents",
-        "_dense",
     )
 
     def __init__(self, model: InterferenceModel, states: CoreStates):
@@ -105,7 +87,6 @@ class IncrementalInterference:
         self.states = states
         # caches mirror the all-idle reference outputs exactly
         self._s = np.ones(num_cores)
-        self._ratio = np.ones(num_nodes)
         self._sat = np.zeros(num_nodes)
         self._sat_mean = 0.0
         self._sat_max = 0.0
@@ -128,7 +109,6 @@ class IncrementalInterference:
         self._omf = np.ones(num_cores)
         # active rows per distinct 1 + gamma
         self._exponents: dict[float, int] = {}
-        self._dense = num_cores * num_nodes <= DENSE_MAX_CELLS
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:
@@ -152,7 +132,6 @@ class IncrementalInterference:
         wl = self._wl
         g1 = self._g1
         omf = self._omf
-        s = self._s
         exponents = self._exponents
         # the per-row operands and demand rows of every started, finished
         # or flipped core, with the reference's own expressions; a core
@@ -173,7 +152,6 @@ class IncrementalInterference:
                 wl[core] = 0.0
                 omf[core] = 1.0
                 prod[core] = 0.0
-                s[core] = 1.0
             if new != old:
                 g1[core] = new
                 if old:
@@ -193,57 +171,33 @@ class IncrementalInterference:
         else:
             demand = model.bandwidth.core_bandwidth * np.add.reduce(prod, axis=0)
         sat = demand / model.bandwidth.node_bandwidth
-        ratio = np.maximum(sat, 1.0)
         # the saturation maximum feeds the counters and decides the branch
-        # below: every ratio is 1.0 exactly when no saturation exceeds 1.0
+        # below: every ratio max(sat, 1) is 1.0 exactly when no saturation
+        # exceeds 1.0
         sat_max = float(np.maximum.reduce(sat))
-        rows = slice(None) if self._dense else self._dirty_rows(changed, a, ratio)
-        if self._dense or rows.size:
-            # identical per-row expressions to InterferenceModel.slowdowns;
-            # both branches agree bitwise on every row (ratio == 1 makes the
-            # penalty exactly 1.0), so the branch choice is pure speed
-            if sat_max <= 1.0:
-                mem_mult = np.add.reduce(wl[rows], axis=1)
+        # every row, with the per-row expressions of
+        # InterferenceModel.slowdowns; both branches agree bitwise on every
+        # row (ratio == 1 makes the penalty exactly 1.0), so the branch
+        # choice is pure speed
+        if sat_max <= 1.0:
+            mem_mult = np.add.reduce(wl, axis=1)
+        else:
+            log_r = np.log(np.maximum(sat, 1.0))
+            if len(exponents) == 1:
+                # one exponent on every active row (one taskloop runs at a
+                # time): its penalty row, broadcast; idle rows have wl = 0
+                # and take any finite penalty
+                (g,) = exponents
+                penalty = np.exp(g * log_r)
             else:
-                log_r = np.log(ratio)
-                if len(exponents) == 1:
-                    # one exponent on every active row (one taskloop runs
-                    # at a time): its penalty row, broadcast; idle rows
-                    # have wl = 0 and take any finite penalty
-                    (g,) = exponents
-                    penalty = np.exp(g * log_r)
-                else:
-                    penalty = np.exp(np.multiply.outer(g1[rows], log_r))
-                mem_mult = np.add.reduce(wl[rows] * penalty, axis=1)
-            np.multiply(mem_frac[rows], mem_mult, out=mem_mult)
-            if self._dense:
-                np.add(omf, mem_mult, out=s)
-            else:
-                s[rows] = omf[rows] + mem_mult
+                penalty = np.exp(np.multiply.outer(g1, log_r))
+            mem_mult = np.add.reduce(wl * penalty, axis=1)
+        np.multiply(mem_frac, mem_mult, out=mem_mult)
+        np.add(omf, mem_mult, out=self._s)
         self._sat = sat
         self._sat_max = sat_max
-        self._ratio = ratio
         self._mean_stale = True
         changed.clear()
-
-    def _dirty_rows(self, changed: list[int], a: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-        """Rows to recompute on a wide machine: every started core, plus
-        every active core whose chunk has weight on a node whose ratio
-        moved (bitwise ``!=``, no tolerance)."""
-        states = self.states
-        dirty_nodes = np.nonzero(ratio != self._ratio)[0]
-        dirty = np.zeros(states.num_cores, dtype=bool)
-        for core in changed:
-            if a[core]:
-                dirty[core] = True
-        if dirty_nodes.size:
-            np.logical_or(
-                dirty,
-                (states.weights[:, dirty_nodes] != 0.0).any(axis=1) & a,
-                out=dirty,
-            )
-            dirty &= a
-        return np.nonzero(dirty)[0]
 
     # ------------------------------------------------------------------
     def slowdowns(self) -> np.ndarray:

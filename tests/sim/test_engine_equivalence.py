@@ -18,8 +18,6 @@ anywhere: a single flipped mantissa bit anywhere in a run fails.
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +39,6 @@ from repro.runtime.context import RunContext
 from repro.runtime.reference import ReferenceRuntime
 from repro.runtime.runtime import OpenMPRuntime
 from repro.runtime.schedulers import create_scheduler
-from repro.sim import incremental
 from repro.topology.machine import GIB, MIB, MachineTopology
 from repro.topology.presets import (
     dual_socket_small,
@@ -121,7 +118,6 @@ def assert_contexts_identical(c1: RunContext, c2: RunContext) -> None:
 @settings(max_examples=60, deadline=None)
 @given(
     preset=st.sampled_from(sorted(PRESETS)),
-    dense=st.booleans(),
     ops=st.lists(
         st.tuples(
             st.sampled_from(["start", "finish", "offline", "online"]),
@@ -135,16 +131,14 @@ def assert_contexts_identical(c1: RunContext, c2: RunContext) -> None:
         max_size=60,
     ),
 )
-def test_slowdown_cache_matches_reference_model(preset, dense, ops):
+def test_slowdown_cache_matches_reference_model(preset, ops):
     """Random starts, finishes and online flips straight on the core
     states, tasks mixing several contention exponents, several changes
     logged between refreshes: at every check the cached slowdowns,
     saturation and its scalars equal the reference model's from-scratch
-    values bit for bit, on the every-row and the dirty-row path alike."""
-    with mock.patch.object(incremental, "DENSE_MAX_CELLS", 2**62 if dense else 0):
-        ctx = RunContext.create(PRESETS[preset](), seed=0)
+    values bit for bit."""
+    ctx = RunContext.create(PRESETS[preset](), seed=0)
     states, model, inc = ctx.states, ctx.interference, ctx.incremental
-    assert inc._dense == dense
     cores, nodes = states.num_cores, states.num_nodes
     for i, (kind, core, mem_frac, gamma, node, check) in enumerate(ops):
         core %= cores
@@ -386,28 +380,6 @@ def test_offline_while_core_occupied_byte_identical():
         per_engine.append((ctx, result))
     assert_results_identical(per_engine[0][1], per_engine[1][1])
     assert_contexts_identical(per_engine[0][0], per_engine[1][0])
-
-
-@settings(max_examples=40, deadline=None)
-@given(taskset_params(), asym_campaign_params())
-def test_dirty_row_refresh_byte_identical(taskset, asym):
-    """Machines wider than ``DENSE_MAX_CELLS`` refresh only the dirty
-    slowdown rows.  Forced onto the small presets, that path must match
-    the oracle on arbitrary task sets and on asymmetry timelines with
-    offline cores, like the every-row path the presets normally take."""
-    ctx_ref, res_ref = _run_taskloops(ORACLE, taskset)
-    with mock.patch.object(incremental, "DENSE_MAX_CELLS", 0):
-        ctx_inc, res_inc = _run_taskloops(PRODUCTION, taskset)
-    assert not ctx_inc.incremental._dense
-    for r1, r2 in zip(res_ref, res_inc, strict=True):
-        assert_taskloop_identical(r1, r2)
-    assert_contexts_identical(ctx_ref, ctx_inc)
-
-    ctx_ref, res_ref = _run_asym_campaign(ORACLE, asym)
-    with mock.patch.object(incremental, "DENSE_MAX_CELLS", 0):
-        ctx_inc, res_inc = _run_asym_campaign(PRODUCTION, asym)
-    assert_results_identical(res_ref, res_inc)
-    assert_contexts_identical(ctx_ref, ctx_inc)
 
 
 # ----------------------------------------------------------------------
