@@ -150,7 +150,25 @@ def chunk_access(
     key = (span, exec_node, bf)
     weights = memo.get(key)
     if weights is None:
-        weights = _node_weights(region, span, exec_node, bf, memo)
+        weights = np.zeros(num_nodes)
+        if span is not None:
+            counts, untouched = pages.home_histogram(span[0], span[1])
+            # untouched pages will be first-touched by the executing node
+            counts[exec_node] += untouched
+            total = counts.sum()
+            weights += bf * counts / total
+        if bf < 1.0:
+            home_w = pages.region_home_weights()
+            untouched_frac = pages.untouched_fraction()
+            uni = home_w * (1.0 - untouched_frac)
+            uni[exec_node] += untouched_frac
+            total = uni.sum()
+            if total <= 0.0:
+                uni = np.zeros(num_nodes)
+                uni[exec_node] = 1.0
+                total = 1.0
+            weights += (1.0 - bf) * uni / total
+        weights.flags.writeable = False
         memo[key] = weights
 
     if span is not None:
@@ -168,59 +186,3 @@ def chunk_access(
         reuse_fraction=reuse,
         _page_span=span,
     )
-
-
-def _node_weights(
-    region: DataRegion,
-    span: tuple[int, int] | None,
-    exec_node: int,
-    bf: float,
-    memo: dict,
-) -> np.ndarray:
-    """Where a chunk's traffic goes under the current homes (read-only).
-
-    The blocked part follows the homes of the chunk's page span, the
-    uniform part the region-wide home distribution.  Both parts are
-    memoised next to the whole vectors (keyed ``(span, exec_node, bf)``):
-    the uniform part under ``(None, exec_node, bf)`` — for a fully uniform
-    pattern that is the whole vector's key, and ``0.0 + u == u`` — and the
-    blocked part under ``(span, None, bf)`` once every page is homed, when
-    it no longer depends on the executing node.
-    """
-    pages = region.pages
-    num_nodes = pages.num_nodes
-    weights = np.zeros(num_nodes)
-
-    if span is not None:
-        homed = not pages.num_untouched
-        blocked = memo.get((span, None, bf)) if homed else None
-        if blocked is None:
-            counts, untouched = pages.home_histogram(span[0], span[1])
-            # untouched pages will be first-touched by the executing node
-            counts[exec_node] += untouched
-            total = counts.sum()
-            blocked = bf * counts / total
-            if homed:
-                blocked.flags.writeable = False
-                memo[(span, None, bf)] = blocked
-        weights += blocked
-
-    if bf < 1.0:
-        uniform = memo.get((None, exec_node, bf))
-        if uniform is None:
-            home_w = pages.region_home_weights()
-            untouched_frac = pages.untouched_fraction()
-            uni = home_w * (1.0 - untouched_frac)
-            uni[exec_node] += untouched_frac
-            total = uni.sum()
-            if total <= 0.0:
-                uni = np.zeros(num_nodes)
-                uni[exec_node] = 1.0
-                total = 1.0
-            uniform = (1.0 - bf) * uni / total
-            uniform.flags.writeable = False
-            memo[(None, exec_node, bf)] = uniform
-        weights += uniform
-
-    weights.flags.writeable = False
-    return weights
