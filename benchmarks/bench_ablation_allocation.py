@@ -10,7 +10,7 @@ additionally concentrates all demand on one memory controller.
 
 import dataclasses
 
-from benchmarks.conftest import bench_config, run_once
+from benchmarks.conftest import bench_config
 from repro.memory.allocator import AllocPolicy
 from repro.runtime.runtime import OpenMPRuntime
 from repro.topology.presets import zen4_9354
@@ -41,8 +41,8 @@ def sweep():
     return rows
 
 
-def test_ablation_allocation_policy(benchmark):
-    rows = run_once(benchmark, sweep)
+def test_ablation_allocation_policy():
+    rows = sweep()
     print("\nAblation: page placement policy on FT")
     print(f"{'policy':>12} {'baseline[s]':>12} {'ilan[s]':>10} {'speedup':>8}")
     for name, b, i in rows:

@@ -9,7 +9,7 @@ sweep verifies that monotone relationship on a synthetic memory-bound
 irregular workload.
 """
 
-from benchmarks.conftest import bench_config, run_once
+from benchmarks.conftest import bench_config
 from repro.runtime.runtime import OpenMPRuntime
 from repro.topology.presets import zen4_9354
 from repro.workloads import make_synthetic
@@ -39,8 +39,8 @@ def sweep():
     return rows
 
 
-def test_ablation_contention_exponent(benchmark):
-    rows = run_once(benchmark, sweep)
+def test_ablation_contention_exponent():
+    rows = sweep()
     print("\nAblation: ILAN speedup vs contention exponent (synthetic, memory-bound)")
     print(f"{'gamma':>6} {'speedup':>9} {'avg threads':>12}")
     for gamma, sp, thr in rows:

@@ -8,7 +8,7 @@ widths closer to the optimum but pays more exploration; coarser
 granularity explores less but can miss the optimum.
 """
 
-from benchmarks.conftest import bench_config, run_once
+from benchmarks.conftest import bench_config
 from repro.core.scheduler import IlanScheduler
 from repro.runtime.runtime import OpenMPRuntime
 from repro.topology.presets import zen4_9354
@@ -42,8 +42,8 @@ def sweep():
     return rows
 
 
-def test_ablation_granularity(benchmark):
-    rows = run_once(benchmark, sweep)
+def test_ablation_granularity():
+    rows = sweep()
     print("\nAblation: thread-count granularity g on SP")
     print(f"{'g':>4} {'speedup':>9} {'avg threads':>12}")
     for g, sp, thr in rows:

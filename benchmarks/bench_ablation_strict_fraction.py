@@ -5,7 +5,7 @@ sweep shows the trade-off on CG (imbalanced, so it needs the stealable
 tail for load balancing) — locality protection vs balancing freedom.
 """
 
-from benchmarks.conftest import bench_config, run_once
+from benchmarks.conftest import bench_config
 from repro.core.scheduler import IlanScheduler
 from repro.runtime.runtime import OpenMPRuntime
 from repro.topology.presets import zen4_9354
@@ -37,8 +37,8 @@ def sweep():
     return rows
 
 
-def test_ablation_strict_fraction(benchmark):
-    rows = run_once(benchmark, sweep)
+def test_ablation_strict_fraction():
+    rows = sweep()
     print("\nAblation: NUMA-strict fraction on CG (speedup vs baseline)")
     print(f"{'strict_fraction':>16} {'speedup':>9}")
     for frac, sp in rows:

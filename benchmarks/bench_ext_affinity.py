@@ -8,7 +8,7 @@ recover part of the baseline's locality loss; ILAN's enforced hierarchy
 recovers more; full ILAN adds moldability on top.
 """
 
-from benchmarks.conftest import bench_config, run_once
+from benchmarks.conftest import bench_config
 from repro.runtime.runtime import OpenMPRuntime
 from repro.topology.presets import zen4_9354
 from repro.workloads import make_bt
@@ -32,8 +32,8 @@ def sweep():
     return rows
 
 
-def test_ext_affinity_clause(benchmark):
-    rows = run_once(benchmark, sweep)
+def test_ext_affinity_clause():
+    rows = sweep()
     base = rows[0][1]
     print("\nExtension: affinity hints vs enforced hierarchy (BT)")
     print(f"{'scheduler':>14} {'time[s]':>9} {'speedup':>8}")

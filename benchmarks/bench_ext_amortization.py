@@ -9,7 +9,6 @@ dominate and ILAN can lose to the baseline; the gain then grows towards
 its asymptote as the settled configuration amortises the search.
 """
 
-from benchmarks.conftest import bench_config, run_once
 from repro.runtime.runtime import OpenMPRuntime
 from repro.topology.presets import zen4_9354
 from repro.workloads import make_sp
@@ -28,8 +27,8 @@ def sweep():
     return rows
 
 
-def test_ext_exploration_amortization(benchmark):
-    rows = run_once(benchmark, sweep)
+def test_ext_exploration_amortization():
+    rows = sweep()
     print("\nExtension: ILAN speedup on SP vs number of outer iterations")
     print(f"{'timesteps':>10} {'speedup':>9}")
     for steps, sp in rows:

@@ -8,7 +8,7 @@ entirely) and the contention-bound SP (counters must NOT skip it, or the
 moldability win would be lost).
 """
 
-from benchmarks.conftest import bench_config, run_once
+from benchmarks.conftest import bench_config
 from repro.core.scheduler import IlanScheduler
 from repro.runtime.runtime import OpenMPRuntime
 from repro.topology.presets import zen4_9354
@@ -31,8 +31,8 @@ def sweep():
     return rows
 
 
-def test_ext_counter_guided_exploration(benchmark):
-    rows = run_once(benchmark, sweep)
+def test_ext_counter_guided_exploration():
+    rows = sweep()
     print("\nExtension: counter-guided exploration")
     print(f"{'bench':>8} {'counters':>9} {'time[s]':>9} {'widths':>7} {'avg thr':>8}")
     for name, uc, t, widths, thr in rows:

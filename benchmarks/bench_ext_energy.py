@@ -6,7 +6,7 @@ fastest configuration, the energy objective the most frugal one (narrower
 — idle/uncore power makes width expensive), and EDP sits between.
 """
 
-from benchmarks.conftest import bench_config, run_once
+from benchmarks.conftest import bench_config
 from repro.core.scheduler import IlanScheduler
 from repro.energy import EnergyModel
 from repro.runtime.runtime import OpenMPRuntime
@@ -34,8 +34,8 @@ def sweep():
     return rows
 
 
-def test_ext_energy_objectives(benchmark):
-    rows = run_once(benchmark, sweep)
+def test_ext_energy_objectives():
+    rows = sweep()
     print("\nExtension: selection objective (bandwidth-bound synthetic)")
     print(f"{'objective':>9} {'time[s]':>9} {'energy[J]':>10} {'threads':>8}")
     for obj, t, e, thr in rows:

@@ -8,7 +8,7 @@ programmer could do knowing SP saturates memory) placed close or spread,
 against ILAN finding the configuration automatically per taskloop.
 """
 
-from benchmarks.conftest import bench_config, run_once
+from benchmarks.conftest import bench_config
 from repro.runtime.runtime import OpenMPRuntime
 from repro.runtime.schedulers.baseline import BaselineScheduler
 from repro.topology.presets import zen4_9354
@@ -32,8 +32,8 @@ def sweep():
     return rows
 
 
-def test_ext_proc_bind_vs_ilan(benchmark):
-    rows = run_once(benchmark, sweep)
+def test_ext_proc_bind_vs_ilan():
+    rows = sweep()
     base = rows[0][1]
     print("\nExtension: manual affinity vs ILAN on SP")
     print(f"{'config':>12} {'time[s]':>9} {'speedup':>8}")

@@ -5,13 +5,12 @@ on six of seven benchmarks — average +13.2%, maximum +45.8% (SP) — with a
 slight slowdown on the compute-bound Matmul kernel.
 """
 
-from benchmarks.conftest import run_once
 from repro.exp.figures import PAPER_EXPECTATIONS, average_speedup, figure2
 from repro.exp.report import render_speedups
 
 
-def test_fig2_overall_speedup(runner, benchmark):
-    rows = run_once(benchmark, lambda: figure2(runner))
+def test_fig2_overall_speedup(runner):
+    rows = figure2(runner)
     print()
     print(render_speedups("Figure 2: ILAN vs baseline (speedup, higher is better)", rows))
     print(f"paper: avg {PAPER_EXPECTATIONS['fig2_avg']:.3f}, "

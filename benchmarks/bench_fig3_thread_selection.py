@@ -5,13 +5,12 @@ Paper result: the optimal width is workload-dependent — CG averages only
 SP is also reduced, while FT, BT and Matmul keep the full machine.
 """
 
-from benchmarks.conftest import run_once
 from repro.exp.figures import PAPER_EXPECTATIONS, figure3
 from repro.exp.report import render_threads
 
 
-def test_fig3_thread_selection(runner, benchmark):
-    rows = run_once(benchmark, lambda: figure3(runner))
+def test_fig3_thread_selection(runner):
+    rows = figure3(runner)
     print()
     print(render_threads("Figure 3: weighted average threads selected by ILAN", rows))
     print(f"paper: cg ~{PAPER_EXPECTATIONS['fig3_cores']['cg']}, ft/bt/matmul = 64")

@@ -5,13 +5,12 @@ Paper result: locality alone is worth +7.9% on average; CG flips to a
 its gain — isolating how much of ILAN's win is interference mitigation.
 """
 
-from benchmarks.conftest import run_once
 from repro.exp.figures import PAPER_EXPECTATIONS, average_speedup, figure2, figure4
 from repro.exp.report import render_speedups
 
 
-def test_fig4_no_moldability(runner, benchmark):
-    rows = run_once(benchmark, lambda: figure4(runner))
+def test_fig4_no_moldability(runner):
+    rows = figure4(runner)
     print()
     print(render_speedups("Figure 4: ILAN without moldability vs baseline", rows))
     print(f"paper: avg {PAPER_EXPECTATIONS['fig4_avg']:.3f}, cg {PAPER_EXPECTATIONS['fig4_cg']:.3f}")

@@ -7,13 +7,12 @@ all cores (Matmul) pay a predictable increase for configuration selection
 and PTT updates.
 """
 
-from benchmarks.conftest import run_once
 from repro.exp.figures import figure5
 from repro.exp.report import render_overheads
 
 
-def test_fig5_scheduling_overhead(runner, benchmark):
-    rows = run_once(benchmark, lambda: figure5(runner))
+def test_fig5_scheduling_overhead(runner):
+    rows = figure5(runner)
     print()
     print(render_overheads(
         "Figure 5: accumulated scheduling overhead (ILAN / baseline, lower is better)", rows

@@ -6,13 +6,12 @@ ideal (work-sharing beats both the baseline *and* ILAN there).  CG shows
 the clearest tasking win: its inherent imbalance defeats static blocks.
 """
 
-from benchmarks.conftest import run_once
 from repro.exp.figures import figure6
 from repro.exp.report import render_figure6
 
 
-def test_fig6_vs_worksharing(runner, benchmark):
-    rows = run_once(benchmark, lambda: figure6(runner))
+def test_fig6_vs_worksharing(runner):
+    rows = figure6(runner)
     print()
     print(render_figure6(rows))
     print("paper: work-sharing wins FT; ILAN wins CG (imbalanced) and SP")

@@ -6,13 +6,12 @@ LU 0.0169 -> 0.0045, SP 0.0554 -> 0.0258); a few others show increases
 attributed to outliers/system noise.
 """
 
-from benchmarks.conftest import run_once
 from repro.exp.figures import PAPER_EXPECTATIONS, table1
 from repro.exp.report import render_variability
 
 
-def test_table1_variability(runner, benchmark):
-    rows = run_once(benchmark, lambda: table1(runner))
+def test_table1_variability(runner):
+    rows = table1(runner)
     print()
     print(render_variability("Table 1: execution-time standard deviation (30-run style)", rows))
     paper = PAPER_EXPECTATIONS["table1"]

@@ -109,8 +109,8 @@ def sweep(seeds: int, timesteps: int) -> str:
         ]
     lines += [
         "Regenerate with `PYTHONPATH=src python scripts/asym_sweep.py "
-        "--write`; `scripts/asym_smoke.py` asserts the gap in CI on "
-        "pinned seeds.",
+        "--write`; `tests/integration/test_asymmetry_adaptation.py` "
+        "asserts the gap in tier-1 on pinned seeds.",
         END,
     ]
     return "\n".join(lines) + "\n"

@@ -1,6 +1,9 @@
 """Assemble EXPERIMENTS.md from the campaign output (developer tool).
 
-Usage: python scripts/make_experiments_md.py /tmp/experiments_full.txt
+Usage::
+
+    repro-exp all --seeds 30 --save experiments_data.json > /tmp/experiments_full.txt
+    python scripts/make_experiments_md.py /tmp/experiments_full.txt
 """
 
 import sys
@@ -16,7 +19,7 @@ regenerated on the simulated platform.  Methodology mirrors the paper:
 the 64-core Zen 4 machine model (8 NUMA nodes x 8 cores), the models'
 default 50 outer iterations, mild external system noise enabled.  The
 tables below are a 4-seed campaign (deterministic seeds 0-3); rerun at
-the paper's 30 repetitions with `python scripts/run_experiments.py 30`
+the paper's 30 repetitions with `repro-exp all --seeds 30`
 (the shapes are stable across seed counts — the benchmark harness
 asserts them at every scale).
 
@@ -26,7 +29,7 @@ asserts them at every scale).
 |---|---|---|
 | outer iterations | 200 (NPB-FT raised 25 -> 200; LULESH 200; Matmul 200) | 50 (`REPRO_ITERS`) |
 | problem sizes | NPB class D, LULESH 400^3, Matmul 3500 | calibrated workload models (DESIGN.md section 6) |
-| repetitions | 30 | 4 in the tables below; benches default to 10 (`REPRO_SEEDS`, `REPRO_FULL=1`) |
+| repetitions | 30 | 4 in the tables below; benches default to 10 (`REPRO_SEEDS`) |
 
 Absolute times are simulation times and do not transfer to the authors'
 testbed; the claims below are about *shape* (who wins, by roughly how
@@ -75,14 +78,14 @@ much, where the crossovers sit).
 ## Regenerating
 
 ```bash
-pytest benchmarks/ --benchmark-only -s          # all artefacts, reduced seeds
-REPRO_FULL=1 pytest benchmarks/ --benchmark-only -s   # paper parity (slow)
-repro-exp all --seeds 30                        # or via the CLI
-python scripts/run_experiments.py 30            # this file's tables + JSON
+pytest benchmarks/ -s                  # all artefacts, reduced seeds
+REPRO_SEEDS=30 pytest benchmarks/ -s   # paper parity (slow)
+repro-exp all --seeds 30 --save experiments_data.json > /tmp/experiments_full.txt
+python scripts/make_experiments_md.py /tmp/experiments_full.txt   # this file
 ```
 
-The last command also dumps cell-level summaries (means, stds, weighted
-thread counts per benchmark x scheduler) to `experiments_data.json`.
+`--save` also dumps cell-level summaries (means, stds, weighted thread
+counts per benchmark x scheduler) to `experiments_data.json`.
 
 ## Per-experiment index
 

@@ -15,9 +15,9 @@ EXC001    no bare ``except:``, no swallowed ``CancelledError``
 SEED001   public entry points that draw randomness accept a seed/rng
 ========  =============================================================
 
-``--project`` adds the two-pass whole-program analyzer: pass 1 reduces
-each file to a :class:`~repro.analysis.project.ModuleSummary` (cached by
-content hash under ``.repro-analysis-cache/``), pass 2 assembles the
+Every run is two passes: pass 1 runs those rules and reduces each file
+to a :class:`~repro.analysis.project.ModuleSummary` (cached by content
+hash under ``.repro-analysis-cache/``), pass 2 assembles the
 :class:`~repro.analysis.project.ProjectIndex` + call graph and runs the
 interprocedural rules:
 
@@ -39,7 +39,6 @@ from repro.analysis.engine import (
     Module,
     ProjectRule,
     Rule,
-    analyze_paths,
     analyze_source,
 )
 from repro.analysis.project import ModuleSummary, ProjectIndex, summarize_module
@@ -60,7 +59,6 @@ __all__ = [
     "Rule",
     "ALL_RULES",
     "PROJECT_RULES",
-    "analyze_paths",
     "analyze_project_paths",
     "analyze_project_source",
     "analyze_source",

@@ -9,10 +9,12 @@ Exit-code contract (relied on by CI and pre-commit):
 * ``2`` — usage or I/O error (unknown rule id, missing path, corrupt
   baseline file).
 
-``--project`` enables pass 2 (whole-program rules) and, with it, the
-content-hash cache: a warm run re-parses only files whose bytes changed
-(``files_parsed`` in the JSON/text stats is the cache-miss count CI
-asserts on).
+Every run is the two-pass run: the per-file rules, then the
+whole-program rules over the assembled project index.  Pass 1 goes
+through a content-hash cache (on unless ``--no-cache``; ``--cache-dir``
+only relocates it), so a warm run re-parses only files whose bytes
+changed (``files_parsed`` in the JSON/text stats is the cache-miss count
+CI asserts on).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.analysis.cache import (
     AnalysisCache,
     analyzer_fingerprint,
 )
-from repro.analysis.engine import analyze_paths
 from repro.analysis.rules import (
     ALL_RULES,
     PROJECT_RULES,
@@ -42,12 +43,12 @@ from repro.analysis.rules import (
     select_project_rules,
     select_rules,
 )
-from repro.analysis.run import ProjectRunResult, analyze_project_paths
+from repro.analysis.run import analyze_project_paths
 from repro.analysis.sarif import to_sarif
 
 __all__ = ["main", "build_parser"]
 
-OUTPUT_SCHEMA_VERSION = 2
+OUTPUT_SCHEMA_VERSION = 3
 DEFAULT_BASELINE = "analysis-baseline.json"
 
 
@@ -58,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Static determinism & concurrency sanitizer: enforces the "
             "repo's replay invariants (seeded RNG flow, no wall-clock in "
             "the simulator, no float == on sim time, async/lock/wire "
-            "hygiene) as AST checks; --project adds the whole-program "
-            "pass (lock-order cycles, seed-taint flow, wire-schema "
-            "drift)."
+            "hygiene) as AST checks, plus the whole-program pass "
+            "(lock-order cycles, seed-taint flow, wire-schema drift)."
         ),
     )
     parser.add_argument(
@@ -71,11 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit 1 on unbaselined findings (CI mode); without it the "
              "run only reports",
-    )
-    parser.add_argument(
-        "--project", action="store_true",
-        help="run the whole-program pass (LOCK002/SEED002/WIRE002) on "
-             "top of the per-file rules; enables the content-hash cache",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -108,10 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
              "basename; repeatable)",
     )
     parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="per-file analysis cache location (default: "
-             f"{CACHE_DIR_DEFAULT} when --project is on; passing this "
-             "flag enables the cache on its own)",
+        "--cache-dir", default=CACHE_DIR_DEFAULT, metavar="DIR",
+        help=f"per-file analysis cache location (default: {CACHE_DIR_DEFAULT})",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -151,42 +144,23 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         rules = select_rules(args.select, args.ignore)
-        project_rules = (
-            select_project_rules(args.select, args.ignore)
-            if args.project
-            else ()
-        )
+        project_rules = select_project_rules(args.select, args.ignore)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    use_cache = (
-        (args.project or args.cache_dir is not None) and not args.no_cache
-    )
     cache = None
-    if use_cache:
+    if not args.no_cache:
         fingerprint = analyzer_fingerprint(
             sorted({r.id for r in rules} | {r.id for r in project_rules})
         )
-        cache = AnalysisCache(
-            Path(args.cache_dir or CACHE_DIR_DEFAULT), fingerprint
-        )
+        cache = AnalysisCache(Path(args.cache_dir), fingerprint)
 
     try:
-        if args.project or cache is not None:
-            result = analyze_project_paths(
-                args.paths, rules, project_rules,
-                cache=cache, exclude=args.exclude,
-            )
-        else:
-            findings, scanned = analyze_paths(
-                args.paths, rules, exclude=args.exclude
-            )
-            result = ProjectRunResult(
-                findings=findings,
-                files_scanned=scanned,
-                files_parsed=scanned,
-            )
+        result = analyze_project_paths(
+            args.paths, rules, project_rules,
+            cache=cache, exclude=args.exclude,
+        )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -220,7 +194,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "files_scanned": result.files_scanned,
             "files_parsed": result.files_parsed,
             "files_cached": result.files_cached,
-            "project": bool(args.project),
             "findings": [f.to_json() for f in new],
             "baselined": len(grandfathered),
             "stale_baseline_entries": stale,

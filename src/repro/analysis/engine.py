@@ -38,7 +38,6 @@ __all__ = [
     "Rule",
     "ProjectRule",
     "analyze_source",
-    "analyze_paths",
     "decode_source",
     "iter_python_files",
     "parse_module",
@@ -388,28 +387,3 @@ def iter_python_files(
                     yield sub
         else:
             raise FileNotFoundError(f"no such file or directory: {p}")
-
-
-def analyze_paths(
-    paths: Sequence[str | Path],
-    rules: Sequence[Rule],
-    *,
-    exclude: Sequence[str] = (),
-) -> tuple[list[Finding], int]:
-    """Analyze files/trees on disk; returns (findings, files scanned)."""
-    findings: list[Finding] = []
-    scanned = 0
-    for file in iter_python_files(paths, exclude=exclude):
-        scanned += 1
-        try:
-            data = file.read_bytes()
-        except OSError as exc:
-            findings.append(Finding(
-                path=file.as_posix(), line=1, col=0, rule=PARSE_RULE_ID,
-                message=f"file cannot be read: {exc}",
-            ))
-            continue
-        findings.extend(
-            analyze_source(file.as_posix(), decode_source(data), rules)
-        )
-    return sorted(findings), scanned

@@ -1,8 +1,8 @@
 """Rule registry: every shipped invariant check, in catalog order.
 
 Two registries: ``ALL_RULES`` (per-file pass) and ``PROJECT_RULES``
-(whole-program pass; only run under ``--project``).  ``--select`` /
-``--ignore`` address both with one id namespace.
+(whole-program pass).  ``--select`` / ``--ignore`` address both with one
+id namespace.
 """
 
 from __future__ import annotations

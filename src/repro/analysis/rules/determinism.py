@@ -20,15 +20,13 @@ __all__ = ["Det001WallClock", "Det002AmbientRng", "Det003TimeEquality",
 #: every package that feeds a simulated run (the simulator core,
 #: scheduler, runtime, interference and memory models, workload models,
 #: machine topology, performance counters and the energy model), the
-#: experiment harness, the figure and campaign timer package (whose
-#: *measurements* are wall time, but only via the explicitly annotated
-#: seam in repro.bench.timers), and the federation tier (ring placement,
-#: crash schedules and migration are counted in logical placements, never
+#: experiment harness, and the federation tier (ring placement, crash
+#: schedules and migration are counted in logical placements, never
 #: seconds — a dotted entry, so the rest of ``serve`` keeps its real wall
 #: clock).
-DETERMINISTIC_PACKAGES = ("sim", "core", "runtime", "exp", "bench",
-                          "interference", "memory", "workloads", "topology",
-                          "counters", "energy", "serve.federation")
+DETERMINISTIC_PACKAGES = ("sim", "core", "runtime", "exp", "interference",
+                          "memory", "workloads", "topology", "counters",
+                          "energy", "serve.federation")
 
 #: DET002/SEED001 additionally cover the serving layer: its *wall time* is
 #: real (latency measurement), but its randomness must still replay.

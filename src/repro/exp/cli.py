@@ -7,18 +7,26 @@ Examples::
     repro-exp all --seeds 10 --jobs 8            # parallel campaign
     repro-exp all --seeds 30 --cache-dir .cache  # warm/reuse a run cache
     repro-exp fig2 --no-cache                    # force re-simulation
+    repro-exp all --save experiments_data.json   # EXPERIMENTS.md's data
+    repro-exp fig2 --trace-out trace.json        # plus one Perfetto trace
 
 Campaign runs are cached on disk by default (under ``~/.cache/repro`` or
 ``$REPRO_CACHE_DIR``), keyed by the full run configuration; re-running a
 figure re-simulates nothing unless the configuration changed.  Each run is
 stored as it completes, so a campaign killed at any point recovers by
 rerunning the same command: only the missing runs are simulated.
+
+``--trace-out`` re-runs repetition 0 of the first selected benchmark
+under ILAN with tracing on and writes it as a Chrome ``trace_event`` JSON
+file, loadable in https://ui.perfetto.dev: the interactive counterpart of
+the ASCII timelines.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.exp.cliopts import (
     add_campaign_arguments,
@@ -69,6 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the campaign's cell summaries as JSON after the run",
     )
     parser.add_argument(
+        "--trace-out",
+        metavar="PATH",
+        default=None,
+        help="also write one traced run (the first selected benchmark under "
+        "ilan, repetition 0) as a Chrome trace_event JSON file",
+    )
+    parser.add_argument(
         "--benchmarks",
         nargs="+",
         choices=PAPER_ORDER,
@@ -110,8 +125,28 @@ def run_experiment(name: str, runner: Runner, benchmarks: list[str] | None) -> s
     raise ValueError(f"unknown experiment {name!r}")  # pragma: no cover
 
 
-# kept as an alias: the machine resolver now lives in repro.exp.cliopts
-_resolve_machine = resolve_machine
+def write_trace(path: str, runner: Runner, benchmark: str) -> Path:
+    """Re-run repetition 0 of ``(benchmark, ilan)`` traced; write it out.
+
+    The run is the campaign cell's own spec (seed, noise, timesteps,
+    machine), so the trace shows a run the figures averaged over.
+    """
+    from repro.runtime.runtime import OpenMPRuntime
+    from repro.sim.chrome_trace import write_chrome_trace
+    from repro.workloads.registry import make_benchmark
+
+    (spec,) = runner.job_specs(benchmark, "ilan", seeds=1)
+    runtime = OpenMPRuntime(
+        spec.topology,
+        scheduler=spec.scheduler,
+        seed=spec.seed,
+        noise=spec.noise,
+        asym=spec.asym,
+        asym_seed=spec.asym_seed,
+        trace=True,
+    )
+    runtime.run_application(make_benchmark(benchmark, timesteps=spec.timesteps))
+    return write_chrome_trace(path, runtime.last_ctx.trace, spec.topology)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
     runner = Runner(cfg, topology=resolve_machine(args.machine))
     names = [args.experiment] if args.experiment != "all" else list(_EXPERIMENTS[:-1])
     schedulers = sorted({s for n in names for s in _EXPERIMENT_SCHEDULERS[n]})
-    runner.prefetch(args.benchmarks or list(PAPER_ORDER), schedulers)
+    benchmarks = args.benchmarks or list(PAPER_ORDER)
+    runner.prefetch(benchmarks, schedulers)
     for name in names:
         print(run_experiment(name, runner, args.benchmarks))
         print()
@@ -135,6 +171,9 @@ def main(argv: list[str] | None = None) -> int:
 
         save_results(args.save, results_to_dict(runner))
         print(f"saved cell summaries to {args.save}")
+    if args.trace_out:
+        out = write_trace(args.trace_out, runner, benchmarks[0])
+        print(f"chrome trace of ({benchmarks[0]}, ilan) written to {out}")
     return 0
 
 

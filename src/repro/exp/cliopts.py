@@ -1,11 +1,11 @@
 """Shared command-line options for experiment campaigns.
 
-``repro-exp`` (:mod:`repro.exp.cli`), ``scripts/run_experiments.py`` and
-the service CLIs all drive the same :class:`~repro.exp.runner.Runner`, so
-they share one flag vocabulary.  This module is the single definition of
-those flags (:func:`add_campaign_arguments`), of the argument→config
-merge against the ``REPRO_*`` environment (:func:`config_from_args`), and
-of machine-spec resolution (:func:`resolve_machine`).
+``repro-exp`` (:mod:`repro.exp.cli`) and the service CLIs all drive the
+same :class:`~repro.exp.runner.Runner`, so they share one flag
+vocabulary.  This module is the single definition of those flags
+(:func:`add_campaign_arguments`), of the argument→config merge against
+the ``REPRO_*`` environment (:func:`config_from_args`), and of
+machine-spec resolution (:func:`resolve_machine`).
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def config_from_args(
 
     Explicit flags win; unset flags inherit from the environment config;
     ``seeds_default`` (when given) overrides the environment's seed count
-    for scripts with their own historical default.  The persistent cache
-    is on unless ``--no-cache`` was passed.
+    for front ends with their own default (the service CLIs pass 1).  The
+    persistent cache is on unless ``--no-cache`` was passed.
     """
     env_cfg = ExperimentConfig.from_env()
     if args.no_cache:

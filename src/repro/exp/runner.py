@@ -21,8 +21,6 @@ environment:
 
 * ``REPRO_SEEDS`` — repetitions per cell (default 30, the paper's count);
 * ``REPRO_ITERS`` — application timesteps (default: each model's own);
-* ``REPRO_FULL=1`` — force the paper-scale defaults, overriding
-  ``REPRO_SEEDS``/``REPRO_ITERS``;
 * ``REPRO_JOBS`` — worker processes (default 1 = in-process);
 * ``REPRO_CACHE_DIR`` — persistent run-cache directory (default: none);
 * ``REPRO_ASYM_SPEC`` — dynamic-asymmetry timeline spec (see
@@ -63,7 +61,6 @@ __all__ = [
     "default_noise",
     "derive_run_seed",
     "execute_spec",
-    "shared_runner",
 ]
 
 
@@ -110,23 +107,15 @@ class ExperimentConfig:
     def from_env(*, default_seeds: int = 30) -> "ExperimentConfig":
         """Read the ``REPRO_*`` environment knobs — once, here.
 
-        Precedence: ``REPRO_FULL=1`` forces paper-parity scale (30 seeds,
-        model-default timesteps) over ``REPRO_SEEDS``/``REPRO_ITERS``.
-        ``REPRO_JOBS`` and ``REPRO_CACHE_DIR`` are orthogonal to scale
-        and are honoured either way.  Later environment changes never
-        affect a config (or a :class:`Runner`) that was already
-        constructed.
+        ``default_seeds`` is the seed count when ``REPRO_SEEDS`` is unset.
+        Later environment changes never affect a config (or a
+        :class:`Runner`) that was already constructed.
         """
         jobs = int(os.environ.get("REPRO_JOBS", "1"))
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
         asym_spec = os.environ.get("REPRO_ASYM_SPEC") or None
         asym_env = os.environ.get("REPRO_ASYM_SEED")
         asym_seed = int(asym_env) if asym_env else None
-        if os.environ.get("REPRO_FULL") == "1":
-            return ExperimentConfig(
-                jobs=jobs, cache_dir=cache_dir,
-                asym_spec=asym_spec, asym_seed=asym_seed,
-            )
         seeds = int(os.environ.get("REPRO_SEEDS", str(default_seeds)))
         iters = os.environ.get("REPRO_ITERS")
         return ExperimentConfig(
@@ -318,27 +307,6 @@ class Runner:
             self._topology_fp = topology_fingerprint(self.topology)
         return self._topology_fp
 
-    def specs(self, benchmark: str, scheduler: str) -> list[RunSpec]:
-        """The run specs of one cell, in repetition order."""
-        cfg = self.config
-        if cfg.seeds < 1:
-            raise ExperimentError(f"need at least one seed, got {cfg.seeds}")
-        noise = default_noise() if cfg.with_noise else None
-        asym = cfg.parsed_asym()
-        return [
-            RunSpec(
-                benchmark=benchmark,
-                scheduler=scheduler,
-                seed=derive_run_seed(benchmark, scheduler, index),
-                timesteps=cfg.timesteps,
-                noise=noise,
-                topology=self.topology,
-                asym=asym,
-                asym_seed=cfg.asym_seed,
-            )
-            for index in range(cfg.seeds)
-        ]
-
     # ------------------------------------------------------------------
     def cell(self, benchmark: str, scheduler: str) -> CellResult:
         """Runs of (benchmark, scheduler); computed once, then memoised."""
@@ -352,7 +320,7 @@ class Runner:
         wanted = list(dict.fromkeys(pairs))
         todo = [pair for pair in wanted if pair not in self._cells]
         if todo:
-            cell_specs = {pair: self.specs(*pair) for pair in todo}
+            cell_specs = {pair: self.job_specs(*pair) for pair in todo}
             cell_keys = {
                 pair: [spec.key(self.topology_fp) for spec in specs]
                 for pair, specs in cell_specs.items()
@@ -376,7 +344,7 @@ class Runner:
         return self.cells(product(benchmarks, schedulers))
 
     # ------------------------------------------------------------------
-    # job-level API (multi-tenant service)
+    # spec-level API (cells, and the multi-tenant service's jobs)
     # ------------------------------------------------------------------
     def job_specs(
         self,
@@ -390,9 +358,11 @@ class Runner:
         """The run specs of one submitted *job*: a taskloop campaign of
         ``seeds`` repetitions, optionally confined to a node lease.
 
-        Seeds reuse the campaign derivation (:func:`derive_run_seed`), so
-        an unleased job is cache-compatible with the equivalent campaign
-        cell; a leased job keys separately via ``lease_bits``.
+        At its defaults this is the cell of :meth:`cells`, in repetition
+        order.  Seeds reuse the campaign derivation
+        (:func:`derive_run_seed`), so an unleased job is cache-compatible
+        with the equivalent campaign cell; a leased job keys separately
+        via ``lease_bits``.
         """
         cfg = self.config
         n = cfg.seeds if seeds is None else seeds
@@ -494,14 +464,3 @@ class Runner:
     def clear(self) -> None:
         """Drop the in-memory cells (the disk cache is left untouched)."""
         self._cells.clear()
-
-
-_SHARED: Runner | None = None
-
-
-def shared_runner() -> Runner:
-    """Process-wide runner so pytest benches share cells across figures."""
-    global _SHARED
-    if _SHARED is None:
-        _SHARED = Runner()
-    return _SHARED

@@ -7,7 +7,7 @@ slowdowns (``InterferenceModel.slowdowns``), predicts and advances through
 ``CoreStates.completion_times``/``advance``, and dispatch scans every
 worker of the pool — as the oracle the production loop must reproduce
 bit for bit.  :class:`ReferenceRuntime` is the entry point; only the
-equivalence suites and ``scripts/asym_smoke.py`` use it.
+tests use it (the equivalence suites and the asymmetry-adaptation test).
 """
 
 from __future__ import annotations

@@ -83,7 +83,7 @@ class TestWarmRuns:
         return pkg / "fixture.py"
 
     def _run_json(self, capsys, *argv):
-        code = main(["src", "--project", "--format", "json", *argv])
+        code = main(["src", "--format", "json", *argv])
         return code, json.loads(capsys.readouterr().out)
 
     def test_second_run_reparses_zero_files(self, tmp_path, monkeypatch, capsys):
@@ -126,6 +126,7 @@ class TestWarmRuns:
     def test_explicit_cache_dir_enables_without_project(
         self, tmp_path, monkeypatch, capsys
     ):
+        """The cache needs no mode flag; ``--cache-dir`` only moves it."""
         self._tree(tmp_path, monkeypatch)
         assert main(["src", "--cache-dir", "warmdir", "--format", "json"]) == 0
         capsys.readouterr()
@@ -133,3 +134,4 @@ class TestWarmRuns:
         payload = json.loads(capsys.readouterr().out)
         assert payload["files_parsed"] == 0
         assert (tmp_path / "warmdir").is_dir()
+        assert not (tmp_path / CACHE_DIR_DEFAULT).exists()

@@ -118,14 +118,13 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
             "version", "files_scanned", "files_parsed", "files_cached",
-            "project", "findings", "baselined",
+            "findings", "baselined",
             "stale_baseline_entries", "retired_baseline_entries", "strict",
         }
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["files_scanned"] == 1
         assert payload["files_parsed"] == 1
         assert payload["files_cached"] == 0
-        assert payload["project"] is False
         assert payload["strict"] is False
         (finding,) = payload["findings"]
         assert finding["rule"] == "DET001"

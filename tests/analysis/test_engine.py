@@ -6,14 +6,14 @@ import os
 
 import pytest
 
-from repro.analysis import analyze_source, select_rules
+from repro.analysis import PROJECT_RULES, analyze_source, select_rules
 from repro.analysis.engine import (
     PARSE_RULE_ID,
     Module,
-    analyze_paths,
     decode_source,
     iter_python_files,
 )
+from repro.analysis.run import analyze_project_paths
 from repro.analysis.suppress import line_suppressions
 from tests.analysis.conftest import OUTSIDE, SIM
 
@@ -98,15 +98,17 @@ class TestEncodingEdgeCases:
         target = tmp_path / "src" / "repro" / "sim"
         target.mkdir(parents=True)
         (target / "bom.py").write_bytes(b"\xef\xbb\xbfx = 1\n")
-        findings, scanned = analyze_paths([tmp_path / "src"], select_rules())
-        assert scanned == 1
-        assert findings == []
+        result = analyze_project_paths(
+            [tmp_path / "src"], select_rules(), PROJECT_RULES
+        )
+        assert result.files_scanned == 1
+        assert result.findings == []
 
     def test_binary_file_reports_diagnostic_not_crash(self, tmp_path):
         (tmp_path / "junk.py").write_bytes(b"\x00\x01\x02\xff")
-        findings, scanned = analyze_paths([tmp_path], select_rules())
-        assert scanned == 1
-        assert [f.rule for f in findings] == [PARSE_RULE_ID]
+        result = analyze_project_paths([tmp_path], select_rules(), PROJECT_RULES)
+        assert result.files_scanned == 1
+        assert [f.rule for f in result.findings] == [PARSE_RULE_ID]
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores file modes")
     def test_unreadable_file_reports_diagnostic(self, tmp_path):
@@ -114,12 +116,14 @@ class TestEncodingEdgeCases:
         target.write_text("x = 1\n", encoding="utf-8")
         target.chmod(0)
         try:
-            findings, scanned = analyze_paths([tmp_path], select_rules())
+            result = analyze_project_paths(
+                [tmp_path], select_rules(), PROJECT_RULES
+            )
         finally:
             target.chmod(0o644)
-        assert scanned == 1
-        assert [f.rule for f in findings] == [PARSE_RULE_ID]
-        assert "cannot be read" in findings[0].message
+        assert result.files_scanned == 1
+        assert [f.rule for f in result.findings] == [PARSE_RULE_ID]
+        assert "cannot be read" in result.findings[0].message
 
 
 class TestFileIteration:

@@ -1,10 +1,11 @@
 """Meta-test: the shipped tree satisfies its own static invariants.
 
-This is the same gate CI runs (``python -m repro.analysis --project src
-tests scripts --strict``), expressed as a test so a violation fails fast
-in any local pytest run — and so the analyzer cannot silently rot.  Both
-passes run: the per-file rules and the whole-program LOCK002 / SEED002 /
-WIRE002 pass (uncached — the meta-test must not depend on cache state).
+This is the same gate CI and the pre-commit hook run (``python -m
+repro.analysis --strict`` over :data:`SCAN_ROOTS`), expressed as a test so
+a violation fails fast in any local pytest run — and so the analyzer
+cannot silently rot.  Both passes run: the per-file rules and the
+whole-program LOCK002 / SEED002 / WIRE002 pass (uncached — the meta-test
+must not depend on cache state).
 
 Policy assertions ride along: the deterministic core (``sim/``,
 ``core/``, ``serve/``, ``exp/``) must have *zero* baseline entries —
@@ -22,7 +23,10 @@ from repro.analysis.run import analyze_project_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "analysis-baseline.json"
-SCAN_ROOTS = [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "scripts"]
+#: CI's and the pre-commit hook's scan roots, in their order.
+SCAN_ROOT_NAMES = ("src", "tests", "scripts", "benchmarks", "examples",
+                   "perfbench", "setup.py")
+SCAN_ROOTS = [REPO_ROOT / root for root in SCAN_ROOT_NAMES]
 
 #: repro subpackages where grandfathering is forbidden outright.
 NO_BASELINE_PACKAGES = ("repro/sim/", "repro/core/", "repro/serve/", "repro/exp/")
@@ -64,3 +68,15 @@ def test_core_packages_have_no_baseline_entries():
         "sim/, core/, serve/ and exp/ must stay baseline-free; fix these instead "
         f"of grandfathering: {offenders}"
     )
+
+
+def test_ci_and_hook_scan_the_same_roots():
+    """Each analyzer command in CI and the hook lists SCAN_ROOTS on the
+    line after ``-m repro.analysis``."""
+    roots = " ".join(SCAN_ROOT_NAMES)
+    for config in (".github/workflows/ci.yml", ".pre-commit-config.yaml"):
+        text = (REPO_ROOT / config).read_text(encoding="utf-8")
+        scanned = [line.split(">")[0].strip() for line in text.splitlines()
+                   if line.strip().startswith("src ")]
+        assert len(scanned) == text.count("-m repro.analysis") > 0, config
+        assert set(scanned) == {roots}, (config, scanned)

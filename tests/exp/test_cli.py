@@ -1,5 +1,7 @@
 """Unit tests for the repro-exp command-line interface."""
 
+import json
+
 import pytest
 
 from repro.exp.cli import _build_parser, run_experiment
@@ -70,27 +72,43 @@ class TestSaveOption:
         assert payload["cells"]
 
 
+class TestTraceOutOption:
+    def test_trace_out_writes_a_chrome_trace(self, tmp_path, monkeypatch, capsys):
+        from repro.exp import cli as cli_mod
+
+        out = tmp_path / "t.json"
+        monkeypatch.setenv("REPRO_SEEDS", "1")
+        monkeypatch.setenv("REPRO_ITERS", "2")
+        rc = cli_mod.main(["fig3", "--benchmarks", "cg", "matmul", "--no-noise",
+                           "--machine", "tiny", "--trace-out", str(out)])
+        assert rc == 0
+        assert f"chrome trace of (cg, ilan) written to {out}" in capsys.readouterr().out
+        events = json.loads(out.read_text())["traceEvents"]
+        # slices of the traced run, not only the process/thread metadata
+        assert any(event["ph"] == "X" for event in events)
+
+
 class TestMachineOption:
     def test_presets_resolve(self):
-        from repro.exp.cli import _resolve_machine
+        from repro.exp.cliopts import resolve_machine
 
-        assert _resolve_machine("zen4").num_cores == 64
-        assert _resolve_machine("tiny").num_cores == 4
-        assert _resolve_machine("uma").num_nodes == 1
+        assert resolve_machine("zen4").num_cores == 64
+        assert resolve_machine("tiny").num_cores == 4
+        assert resolve_machine("uma").num_nodes == 1
 
     def test_topology_file(self, tmp_path):
-        from repro.exp.cli import _resolve_machine
+        from repro.exp.cliopts import resolve_machine
         from repro.topology.hwloc import format_topology
 
         path = tmp_path / "m.topo"
         path.write_text(format_topology(tiny_two_node()))
-        assert _resolve_machine(str(path)).num_cores == 4
+        assert resolve_machine(str(path)).num_cores == 4
 
     def test_unknown_machine_exits(self):
-        from repro.exp.cli import _resolve_machine
+        from repro.exp.cliopts import resolve_machine
 
         with pytest.raises(SystemExit):
-            _resolve_machine("cray-1")
+            resolve_machine("cray-1")
 
     def test_machine_flag_end_to_end(self, monkeypatch, capsys):
         from repro.exp import cli as cli_mod

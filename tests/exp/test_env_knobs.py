@@ -13,7 +13,7 @@ from repro.topology.presets import tiny_two_node
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    for name in ("REPRO_SEEDS", "REPRO_ITERS", "REPRO_FULL", "REPRO_JOBS",
+    for name in ("REPRO_SEEDS", "REPRO_ITERS", "REPRO_JOBS",
                  "REPRO_CACHE_DIR", "REPRO_ASYM_SPEC", "REPRO_ASYM_SEED"):
         monkeypatch.delenv(name, raising=False)
 
@@ -42,29 +42,6 @@ class TestPrecedence:
         assert cfg.seeds == 7
         assert cfg.timesteps == 12
 
-    def test_full_overrides_seeds_and_iters(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEEDS", "3")
-        monkeypatch.setenv("REPRO_ITERS", "2")
-        monkeypatch.setenv("REPRO_FULL", "1")
-        cfg = ExperimentConfig.from_env()
-        assert cfg.seeds == 30
-        assert cfg.timesteps is None
-
-    def test_full_zero_is_not_full(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEEDS", "3")
-        monkeypatch.setenv("REPRO_FULL", "0")
-        assert ExperimentConfig.from_env().seeds == 3
-
-    def test_full_keeps_execution_knobs(self, monkeypatch):
-        """REPRO_FULL controls scale; jobs/cache are orthogonal and survive."""
-        monkeypatch.setenv("REPRO_FULL", "1")
-        monkeypatch.setenv("REPRO_JOBS", "6")
-        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/somewhere")
-        cfg = ExperimentConfig.from_env()
-        assert cfg.seeds == 30
-        assert cfg.jobs == 6
-        assert cfg.cache_dir == "/tmp/somewhere"
-
     def test_jobs_and_cache_dir(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "4")
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/elsewhere")
@@ -92,7 +69,6 @@ class TestReadOnce:
         runner = Runner(topology=tiny_two_node())
         monkeypatch.setenv("REPRO_SEEDS", "30")
         monkeypatch.setenv("REPRO_JOBS", "1")
-        monkeypatch.setenv("REPRO_FULL", "1")
         assert runner.config.seeds == 2
         assert runner.config.timesteps == 1
         assert runner.jobs == 2
@@ -103,7 +79,7 @@ class TestReadOnce:
         monkeypatch.setenv("REPRO_SEEDS", "3")
         runner = Runner(topology=tiny_two_node())
         monkeypatch.setenv("REPRO_SEEDS", "1")
-        assert len(runner.specs("matmul", "baseline")) == 3
+        assert len(runner.job_specs("matmul", "baseline")) == 3
 
 
 class TestAsymKnobs:
@@ -122,12 +98,6 @@ class TestAsymKnobs:
         spec = cfg.parsed_asym()
         assert spec is not None and spec.dvfs_low == 0.5
 
-    def test_env_spec_survives_full_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        monkeypatch.setenv("REPRO_ASYM_SPEC", "offline")
-        cfg = ExperimentConfig.from_env()
-        assert cfg.asym_spec == "offline"
-
     def test_empty_spec_means_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_ASYM_SPEC", "")
         assert ExperimentConfig.from_env().asym_spec is None
@@ -144,6 +114,6 @@ class TestAsymKnobs:
         monkeypatch.setenv("REPRO_ASYM_SPEC", "dvfs")
         monkeypatch.setenv("REPRO_ASYM_SEED", "5")
         runner = Runner(topology=tiny_two_node())
-        for spec in runner.specs("matmul", "baseline"):
+        for spec in runner.job_specs("matmul", "baseline"):
             assert spec.asym is not None and spec.asym.enabled
             assert spec.asym_seed == 5

@@ -36,13 +36,6 @@ class TestConfig:
         assert cfg.seeds == 5
         assert cfg.timesteps == 10
 
-    def test_full_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEEDS", "5")
-        monkeypatch.setenv("REPRO_FULL", "1")
-        cfg = ExperimentConfig.from_env()
-        assert cfg.seeds == 30
-        assert cfg.timesteps is None
-
     def test_default_noise_params(self):
         noise = default_noise()
         assert noise.enabled
@@ -174,7 +167,7 @@ class TestKeyDerivedOnce:
             key_calls.clear()
             runner = self._runner(tiny, ResultCache(tmp_cache.root))
             runner.cells(pairs)
-            specs = [spec for pair in pairs for spec in runner.specs(*pair)]
+            specs = [spec for pair in pairs for spec in runner.job_specs(*pair)]
             assert sorted(key_calls) == sorted(
                 (s.benchmark, s.scheduler, s.seed) for s in specs
             )
