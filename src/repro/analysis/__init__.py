@@ -27,9 +27,9 @@ SEED002   an accepted seed/rng parameter must reach an RNG on some path
 WIRE002   protocol dataclasses and all their users agree on the schema
 ========  =============================================================
 
-See DESIGN.md §6 for the full catalog, rationale and suppression policy
-(per-line ``# repro: noqa RULE -- justification``; grandfathered findings
-live in ``analysis-baseline.json``).
+See DESIGN.md §6 for the full catalog, rationale and suppression policy:
+``--strict`` fails on every finding, and a per-line
+``# repro: noqa RULE -- justification`` is the only way to accept one.
 """
 
 from __future__ import annotations

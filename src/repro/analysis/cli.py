@@ -2,12 +2,10 @@
 
 Exit-code contract (relied on by CI and pre-commit):
 
-* ``0`` — no unbaselined findings (or report-only mode without
-  ``--strict``);
-* ``1`` — unbaselined findings (or retired baseline entries) and
-  ``--strict``;
-* ``2`` — usage or I/O error (unknown rule id, missing path, corrupt
-  baseline file).
+* ``0`` — no findings (or report-only mode without ``--strict``);
+* ``1`` — any finding and ``--strict``; a per-line
+  ``# repro: noqa RULE -- why`` is the only way to accept one;
+* ``2`` — usage or I/O error (unknown rule id or flag, missing path).
 
 Every run is the two-pass run: the per-file rules, then the
 whole-program rules over the assembled project index.  Pass 1 goes
@@ -22,15 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from repro.analysis.baseline import (
-    load_baseline,
-    partition_findings,
-    write_baseline,
-)
 from repro.analysis.cache import (
     CACHE_DIR_DEFAULT,
     AnalysisCache,
@@ -39,7 +31,6 @@ from repro.analysis.cache import (
 from repro.analysis.rules import (
     ALL_RULES,
     PROJECT_RULES,
-    all_rule_ids,
     select_project_rules,
     select_rules,
 )
@@ -48,8 +39,7 @@ from repro.analysis.sarif import to_sarif
 
 __all__ = ["main", "build_parser"]
 
-OUTPUT_SCHEMA_VERSION = 3
-DEFAULT_BASELINE = "analysis-baseline.json"
+OUTPUT_SCHEMA_VERSION = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,25 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strict", action="store_true",
-        help="exit 1 on unbaselined findings (CI mode); without it the "
-             "run only reports",
+        help="exit 1 on any finding (CI mode); without it the run only "
+             "reports",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="PATH",
-        help=f"grandfathered-findings file (default: {DEFAULT_BASELINE}; "
-             "a missing file is an empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file: report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     parser.add_argument(
         "--select", default=None, metavar="RULES",
@@ -96,11 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ignore", default=None, metavar="RULES",
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--exclude", action="append", default=[], metavar="GLOB",
-        help="skip files matching this glob (against the posix path or "
-             "basename; repeatable)",
     )
     parser.add_argument(
         "--cache-dir", default=CACHE_DIR_DEFAULT, metavar="DIR",
@@ -158,71 +130,36 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         result = analyze_project_paths(
-            args.paths, rules, project_rules,
-            cache=cache, exclude=args.exclude,
+            args.paths, rules, project_rules, cache=cache
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline)
-    if args.write_baseline:
-        write_baseline(baseline_path, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to baseline "
-            f"{baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
-    try:
-        baseline = (
-            load_baseline(baseline_path) if not args.no_baseline else None
-        )
-    except (ValueError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: corrupt baseline {baseline_path}: {exc}", file=sys.stderr)
-        return 2
-    new, grandfathered, stale, retired = partition_findings(
-        result.findings,
-        baseline if baseline is not None else Counter(),
-        known_rules=all_rule_ids(),
-    )
-
+    findings = result.findings
     if args.format == "json":
         payload = {
             "version": OUTPUT_SCHEMA_VERSION,
             "files_scanned": result.files_scanned,
             "files_parsed": result.files_parsed,
             "files_cached": result.files_cached,
-            "findings": [f.to_json() for f in new],
-            "baselined": len(grandfathered),
-            "stale_baseline_entries": stale,
-            "retired_baseline_entries": retired,
+            "findings": [f.to_json() for f in findings],
             "strict": bool(args.strict),
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "sarif":
         out.write(
-            json.dumps(to_sarif(new, rules, project_rules), indent=2) + "\n"
+            json.dumps(to_sarif(findings, rules, project_rules), indent=2)
+            + "\n"
         )
     else:
-        for finding in new:
+        for finding in findings:
             out.write(finding.render() + "\n")
-        for key in stale:
-            out.write(f"stale baseline entry (delete it): {key}\n")
-        for key in retired:
-            out.write(
-                f"retired baseline entry (rule no longer exists): {key}\n"
-            )
-        status = "ok" if not new else f"{len(new)} finding(s)"
+        status = "ok" if not findings else f"{len(findings)} finding(s)"
         out.write(
             f"{status}: {result.files_scanned} file(s) scanned "
             f"({result.files_parsed} parsed, {result.files_cached} "
-            f"cached), {len(new)} new, {len(grandfathered)} baselined, "
-            f"{len(stale)} stale / {len(retired)} retired baseline "
-            "entrie(s)\n"
+            "cached)\n"
         )
 
-    if args.strict and (new or retired):
-        return 1
-    return 0
+    return 1 if args.strict and findings else 0

@@ -14,7 +14,6 @@ pre-commit, and the test suite with zero extra dependencies.
 from __future__ import annotations
 
 import ast
-import fnmatch
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
@@ -89,14 +88,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    def baseline_key(self) -> str:
-        """Line-independent identity used by the grandfathering baseline.
-
-        Deliberately excludes the line number so unrelated edits above a
-        grandfathered finding do not un-baseline it.
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -251,8 +242,8 @@ class ProjectRule(ABC):
     Unlike :class:`Rule`, which sees one module's AST, a ProjectRule
     sees the :class:`~repro.analysis.project.ProjectIndex` — every
     module's summary plus the cross-module registries — and reports
-    findings line-anchored at a concrete witness site, so suppressions
-    and the baseline work identically for both passes.
+    findings line-anchored at a concrete witness site, so per-line
+    suppressions work identically for both passes.
     """
 
     id: ClassVar[str]
@@ -344,32 +335,18 @@ def analyze_source(
     return run_file_rules(mod, rules, line_suppressions(mod.lines))
 
 
-def _excluded(path: Path, exclude: Sequence[str]) -> bool:
-    """``--exclude`` glob match, against the posix path and basename."""
-    posix = path.as_posix()
-    return any(
-        fnmatch.fnmatch(posix, pattern) or fnmatch.fnmatch(path.name, pattern)
-        for pattern in exclude
-    )
-
-
-def iter_python_files(
-    paths: Sequence[str | Path], *, exclude: Sequence[str] = ()
-) -> Iterator[Path]:
+def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
     """Every ``*.py`` under the given files/directories, sorted.
 
     Skips hidden directories (including ``.repro-analysis-cache/``),
-    ``__pycache__`` and run-cache ``quarantine/`` directories, and any
-    path matching an ``--exclude`` glob (matched against both the posix
-    path and the basename).  A file passed *explicitly* is analyzed even
-    if hidden (pre-commit passes staged filenames), but ``--exclude``
-    still applies.
+    ``__pycache__`` and run-cache ``quarantine/`` directories.  A file
+    passed *explicitly* is analyzed even if it sits in one of them.
     """
     seen: set[Path] = set()
     for raw in paths:
         p = Path(raw)
         if p.is_file():
-            if p.suffix == ".py" and p not in seen and not _excluded(p, exclude):
+            if p.suffix == ".py" and p not in seen:
                 seen.add(p)
                 yield p
         elif p.is_dir():
@@ -379,8 +356,6 @@ def iter_python_files(
                     or (part.startswith(".") and part not in (".", ".."))
                     for part in sub.parts
                 ):
-                    continue
-                if _excluded(sub, exclude):
                     continue
                 if sub not in seen:
                     seen.add(sub)

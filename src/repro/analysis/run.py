@@ -84,14 +84,13 @@ def analyze_project_paths(
     project_rules: Sequence[ProjectRule],
     *,
     cache: AnalysisCache | None = None,
-    exclude: Sequence[str] = (),
 ) -> ProjectRunResult:
     """Run both passes over files/trees on disk."""
     result = ProjectRunResult()
     summaries: list[ModuleSummary] = []
     suppressions: dict[str, dict[int, frozenset[str]]] = {}
 
-    for file in iter_python_files(paths, exclude=exclude):
+    for file in iter_python_files(paths):
         result.files_scanned += 1
         path = file.as_posix()
         try:

@@ -311,9 +311,6 @@ class CacheStats:
     invalidated: int = 0
     quarantined: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
 
 #: Subdirectory (under the cache root) holding entries that failed
 #: verification.  Longer than two characters, so :meth:`ResultCache.keys`'s

@@ -23,6 +23,12 @@ def _rule(width: int = 72) -> str:
     return "-" * width
 
 
+def _lower_in(what: str, names: list[str], total: int) -> str:
+    """``<what> lower in N/M benchmarks: a, b``, naming the N it counts."""
+    line = f"{what} lower in {len(names)}/{total} benchmarks"
+    return f"{line}: {', '.join(names)}" if names else line
+
+
 def render_speedups(title: str, rows: list[SpeedupRow]) -> str:
     lines = [title, _rule()]
     lines.append(
@@ -59,8 +65,8 @@ def render_overheads(title: str, rows: list[OverheadRow]) -> str:
             f"{r.ilan_overhead * 1e3:>10.3f} {r.normalized:>11.3f}"
         )
     lines.append(_rule())
-    lower = sum(1 for r in rows if r.normalized < 1.0)
-    lines.append(f"ILAN overhead lower in {lower}/{len(rows)} benchmarks")
+    lower = [r.benchmark for r in rows if r.normalized < 1.0]
+    lines.append(_lower_in("ILAN overhead", lower, len(rows)))
     return "\n".join(lines)
 
 
@@ -76,8 +82,8 @@ def render_variability(title: str, rows: list[VariabilityRow]) -> str:
             f"{r.baseline_rel_std * 100:>10.2f} {r.ilan_rel_std * 100:>10.2f}"
         )
     lines.append(_rule())
-    lower = sum(1 for r in rows if r.ilan_std < r.baseline_std)
-    lines.append(f"ILAN variance lower in {lower}/{len(rows)} benchmarks")
+    lower = [r.benchmark for r in rows if r.ilan_std < r.baseline_std]
+    lines.append(_lower_in("ILAN variance", lower, len(rows)))
     return "\n".join(lines)
 
 

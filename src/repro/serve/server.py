@@ -582,10 +582,6 @@ class SchedulingService:
     # ------------------------------------------------------------------
     # tenant-state migration (federation)
     # ------------------------------------------------------------------
-    def export_tenant_state(self, tenant: str) -> list[dict[str, Any]]:
-        """Every warm checkpoint of ``tenant``, as versioned wire documents."""
-        return self.tenant_state.export(tenant)
-
     def import_tenant_state(self, doc: dict[str, Any]) -> bool:
         """Adopt a migrated checkpoint; ``False`` when the generation
         guard refused a stale document."""

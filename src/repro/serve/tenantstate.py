@@ -172,14 +172,6 @@ class TenantStateStore:
         return ckpt
 
     # ------------------------------------------------------------------
-    def export(self, tenant: str) -> list[dict]:
-        """Every benchmark's checkpoint for ``tenant``, as wire documents."""
-        return [
-            self._checkpoints[key].to_wire()
-            for key in sorted(self._checkpoints)
-            if key[0] == tenant
-        ]
-
     def export_all(self) -> list[dict]:
         return [self._checkpoints[key].to_wire()
                 for key in sorted(self._checkpoints)]

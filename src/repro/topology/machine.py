@@ -13,7 +13,7 @@ consume it read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import TopologyError
 
@@ -338,9 +338,6 @@ class MachineTopology:
     def siblings_in_node(self, core_id: int) -> tuple[int, ...]:
         """All cores in the same NUMA node as ``core_id`` (including it)."""
         return self.cores_of_node(self.node_of_core(core_id))
-
-    def iter_cores(self) -> Iterator[Core]:
-        return iter(self.cores)
 
     def core_ids(self) -> range:
         return range(self.num_cores)

@@ -22,12 +22,6 @@ from repro.workloads.convert import (
 from repro.workloads.lulesh import make_lulesh
 from repro.workloads.matmul import make_matmul
 from repro.workloads.npb import make_bt, make_cg, make_ft, make_lu, make_sp
-from repro.workloads.serialize import (
-    application_from_dict,
-    application_to_dict,
-    load_application,
-    save_application,
-)
 from repro.workloads.registry import (
     BENCHMARKS,
     PAPER_ORDER,
@@ -37,10 +31,6 @@ from repro.workloads.registry import (
 from repro.workloads.synthetic import make_mixed, make_synthetic
 
 __all__ = [
-    "application_from_dict",
-    "application_to_dict",
-    "load_application",
-    "save_application",
     "Application",
     "RegionSpec",
     "TaskloopSpec",

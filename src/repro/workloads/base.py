@@ -21,7 +21,7 @@ seed, so every scheduler sees the same work distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -226,9 +226,3 @@ class Application:
             timesteps=timesteps,
             serial_seconds=self.serial_seconds,
         )
-
-
-def iter_specs(apps: Iterable[Application]) -> Iterator[TaskloopSpec]:
-    """All taskloop specs across ``apps`` (reporting helper)."""
-    for app in apps:
-        yield from app.loops

@@ -1,5 +1,5 @@
-"""CLI contract: exit codes, JSON schema, baseline round-trip, rule
-selection, and the ``python -m repro.analysis`` entry point."""
+"""CLI contract: exit codes, JSON schema, rule selection, and the
+``python -m repro.analysis`` entry point."""
 
 import json
 import os
@@ -31,7 +31,7 @@ def stamp(clock):
 @pytest.fixture
 def tree(tmp_path, monkeypatch):
     """A tiny analyzable tree with one DET001 violation; cwd moved there
-    so the default baseline path resolves inside it."""
+    so the relative ``src`` root and the default cache resolve inside it."""
     pkg = tmp_path / "src" / "repro" / "sim"
     pkg.mkdir(parents=True)
     (pkg / "fixture.py").write_text(DIRTY, encoding="utf-8")
@@ -44,7 +44,7 @@ class TestExitCodes:
         assert main(["src"]) == 0
         out = capsys.readouterr().out
         assert "DET001" in out
-        assert "1 new" in out
+        assert "1 finding(s)" in out
 
     def test_strict_run_fails_on_findings(self, tree, capsys):
         assert main(["src", "--strict"]) == 1
@@ -63,53 +63,31 @@ class TestExitCodes:
     def test_missing_path_is_usage_error(self, tree, capsys):
         assert main(["no/such/dir", "--strict"]) == 2
 
-    def test_corrupt_baseline_is_usage_error(self, tree, capsys):
-        Path("analysis-baseline.json").write_text("[]", encoding="utf-8")
-        assert main(["src", "--strict"]) == 2
-        assert "corrupt baseline" in capsys.readouterr().err
-
-
-class TestBaselineRoundTrip:
-    def test_write_then_strict_passes(self, tree, capsys):
-        assert main(["src", "--write-baseline"]) == 0
-        assert main(["src", "--strict"]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-        data = json.loads(Path("analysis-baseline.json").read_text())
-        assert data["version"] == 1
-        assert [e["rule"] for e in data["findings"]] == ["DET001"]
-        assert "line" not in data["findings"][0]  # line-number independent
-
-    def test_baseline_survives_line_shuffle(self, tree, capsys):
-        assert main(["src", "--write-baseline"]) == 0
-        shifted = "# a new leading comment\n" + DIRTY
-        (tree / "src" / "repro" / "sim" / "fixture.py").write_text(
-            shifted, encoding="utf-8"
+    def test_stray_baseline_file_does_not_hide_findings(self, tree, capsys):
+        # a finding list in the old grandfathering format, left in the
+        # working directory, is not an input: --strict still fails
+        assert main(["src", "--format", "json"]) == 0
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        entries = [
+            {"rule": f["rule"], "path": f["path"], "message": f["message"],
+             "count": 1}
+            for f in findings
+        ]
+        assert [e["rule"] for e in entries] == ["DET001"]
+        Path("analysis-baseline.json").write_text(
+            json.dumps({"version": 1, "findings": entries}), encoding="utf-8"
         )
-        assert main(["src", "--strict"]) == 0
-
-    def test_fixed_finding_reports_stale_entry(self, tree, capsys):
-        assert main(["src", "--write-baseline"]) == 0
-        (tree / "src" / "repro" / "sim" / "fixture.py").write_text(
-            CLEAN, encoding="utf-8"
-        )
-        assert main(["src", "--strict"]) == 0  # stale entries never fail CI
-        out = capsys.readouterr().out
-        assert "stale baseline entry" in out
-
-    def test_second_identical_finding_is_new(self, tree, capsys):
-        assert main(["src", "--write-baseline"]) == 0
-        doubled = DIRTY + "\n\ndef stamp2():\n    return time.time()\n"
-        (tree / "src" / "repro" / "sim" / "fixture.py").write_text(
-            doubled, encoding="utf-8"
-        )
-        # the two findings share a baseline key but count=1 absorbs only one
         assert main(["src", "--strict"]) == 1
+        assert "DET001" in capsys.readouterr().out
 
-    def test_no_baseline_flag_reports_everything(self, tree, capsys):
-        assert main(["src", "--write-baseline"]) == 0
-        assert main(["src", "--strict", "--no-baseline"]) == 1
+    @pytest.mark.parametrize("flag", [
+        ["--baseline", "x"], ["--no-baseline"], ["--write-baseline"],
+        ["--exclude", "x"],
+    ])
+    def test_removed_flags_are_usage_errors(self, tree, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["src", "--strict", *flag])
+        assert exc.value.code == 2
 
 
 class TestJsonOutput:
@@ -118,10 +96,9 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
             "version", "files_scanned", "files_parsed", "files_cached",
-            "findings", "baselined",
-            "stale_baseline_entries", "retired_baseline_entries", "strict",
+            "findings", "strict",
         }
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert payload["files_scanned"] == 1
         assert payload["files_parsed"] == 1
         assert payload["files_cached"] == 0
