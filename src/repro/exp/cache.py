@@ -45,7 +45,7 @@ import numpy as np
 from repro.counters.metrics import TaskloopCounters
 from repro.interference.noise import NoiseParams
 from repro.ioutil import atomic_write
-from repro.runtime.overhead import OverheadLedger
+from repro.runtime.overhead import COMPONENTS, OverheadLedger
 from repro.runtime.results import AppRunResult, TaskloopResult
 from repro.topology.machine import MachineTopology
 
@@ -207,21 +207,8 @@ def _decode_counters(d: dict[str, Any] | None) -> TaskloopCounters | None:
     return None if d is None else TaskloopCounters(**d)
 
 
-_LEDGER_FIELDS = (
-    "task_create",
-    "dequeue",
-    "steal_local",
-    "steal_remote",
-    "steal_fail",
-    "barrier",
-    "fork",
-    "select",
-    "ptt_update",
-)
-
-
 def _encode_ledger(ledger: OverheadLedger) -> dict[str, Any]:
-    d: dict[str, Any] = {name: getattr(ledger, name) for name in _LEDGER_FIELDS}
+    d: dict[str, Any] = {name: getattr(ledger, name) for name in COMPONENTS}
     d["counts"] = dict(ledger.counts)
     return d
 

@@ -25,9 +25,23 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
-__all__ = ["OverheadParams", "OverheadLedger"]
+__all__ = ["OverheadParams", "OverheadLedger", "COMPONENTS"]
 
 _US = 1e-6
+
+#: The scheduling components an :class:`OverheadLedger` accumulates, in
+#: field order (the order :attr:`OverheadLedger.total` sums them in).
+COMPONENTS = (
+    "task_create",
+    "dequeue",
+    "steal_local",
+    "steal_remote",
+    "steal_fail",
+    "barrier",
+    "fork",
+    "select",
+    "ptt_update",
+)
 
 
 @dataclass(frozen=True)
@@ -73,38 +87,35 @@ class OverheadLedger:
     counts: dict[str, int] = field(default_factory=dict)
 
     def charge(self, component: str, amount: float, count: int = 1) -> None:
-        if not hasattr(self, component):
+        """Add ``amount`` seconds and ``count`` events to ``component``.
+
+        Only the names in :data:`COMPONENTS` are components; any other
+        name (including the ledger's other attributes, ``counts`` and
+        ``total``) raises :class:`ConfigurationError`.
+        """
+        if component not in COMPONENTS:
             raise ConfigurationError(f"unknown overhead component {component!r}")
-        setattr(self, component, getattr(self, component) + amount)
-        self.counts[component] = self.counts.get(component, 0) + count
+        # the components are plain instance fields: update them by name in
+        # the instance dict (this runs on every dequeue and steal)
+        fields = self.__dict__
+        fields[component] += amount
+        counts = self.counts
+        counts[component] = counts.get(component, 0) + count
 
     @property
     def total(self) -> float:
-        return (
-            self.task_create
-            + self.dequeue
-            + self.steal_local
-            + self.steal_remote
-            + self.steal_fail
-            + self.barrier
-            + self.fork
-            + self.select
-            + self.ptt_update
-        )
+        """Sum of every component, added in :data:`COMPONENTS` order."""
+        fields = self.__dict__
+        total = fields[COMPONENTS[0]]
+        for name in COMPONENTS[1:]:
+            total += fields[name]
+        return total
 
     def merge(self, other: "OverheadLedger") -> None:
         """Fold another ledger (e.g. one taskloop's) into this one."""
-        for name in (
-            "task_create",
-            "dequeue",
-            "steal_local",
-            "steal_remote",
-            "steal_fail",
-            "barrier",
-            "fork",
-            "select",
-            "ptt_update",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        fields = self.__dict__
+        theirs = other.__dict__
+        for name in COMPONENTS:
+            fields[name] += theirs[name]
         for key, value in other.counts.items():
             self.counts[key] = self.counts.get(key, 0) + value

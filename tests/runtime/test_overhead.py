@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.overhead import OverheadLedger, OverheadParams
+from repro.runtime.overhead import COMPONENTS, OverheadLedger, OverheadParams
 
 
 class TestParams:
@@ -46,6 +46,23 @@ class TestLedger:
     def test_unknown_component(self):
         with pytest.raises(ConfigurationError):
             OverheadLedger().charge("bribes", 1.0)
+
+    @pytest.mark.parametrize("name", ["counts", "total"])
+    def test_ledger_attribute_is_not_a_component(self, name):
+        """``counts`` and ``total`` are ledger attributes, not components:
+        charging them is a configuration error like any unknown name."""
+        led = OverheadLedger()
+        with pytest.raises(ConfigurationError):
+            led.charge(name, 1.0)
+        assert led.counts == {}
+        assert led.total == 0.0
+
+    def test_total_adds_every_component(self):
+        led = OverheadLedger()
+        for i, name in enumerate(COMPONENTS):
+            led.charge(name, (i + 1) * 1e-6)
+        assert led.total == pytest.approx(sum(range(1, len(COMPONENTS) + 1)) * 1e-6)
+        assert led.counts == {name: 1 for name in COMPONENTS}
 
     def test_merge(self):
         a = OverheadLedger()
