@@ -167,7 +167,13 @@ class CoreStates:
         weights: np.ndarray,
         payload: Any,
     ) -> None:
-        """Begin executing a task on an idle ``core``."""
+        """Begin executing a task on an idle ``core``.
+
+        The executor's per-task path (``repro.runtime.executor``'s
+        ``_Encounter``) makes the same row writes and change-log entry in
+        place, and :meth:`finish`'s too; a new per-core field must be set
+        and cleared there as well.
+        """
         self._check_core(core)
         if self.active[core]:
             raise SimulationError(f"core {core} is already running a task")

@@ -125,10 +125,23 @@ def _assert_same_state(region: DataRegion, shadow: DataRegion) -> None:
     assert region.last_share.tobytes() == shadow.last_share.tobytes()
 
 
+def _rehome(region: DataRegion, kind: str, lo8: int, width8: int, node: int) -> None:
+    """``bind`` or ``interleave`` the pages under an eighths-grid span."""
+    pages = region.pages
+    n = pages.num_pages
+    start = min(lo8 * n // 8, n - 1)
+    stop = max(start + 1, min(lo8 + width8, 8) * n // 8)
+    if kind == "bind":
+        pages.bind(start, stop, node)
+    else:
+        pages.interleave(start, stop, [node, (node + 1) % pages.num_nodes])
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     num_pages=st.integers(min_value=1, max_value=48),
     num_nodes=st.integers(min_value=1, max_value=4),
+    placement=st.sampled_from(["first_touch", "partial", "interleave", "bind"]),
     interleaved=st.integers(min_value=0, max_value=48),
     ops=st.lists(
         st.tuples(
@@ -136,33 +149,46 @@ def _assert_same_state(region: DataRegion, shadow: DataRegion) -> None:
             st.integers(0, 7),
             st.integers(1, 8),
             st.integers(0, 3),
-            st.booleans(),
+            st.sampled_from(["commit", "resolve", "bind", "interleave"]),
         ),
         min_size=1,
         max_size=40,
     ),
 )
-def test_chunk_access_and_commit_match_oracle(num_pages, num_nodes, interleaved, ops):
+def test_chunk_access_and_commit_match_oracle(num_pages, num_nodes, placement, interleaved, ops):
     """Random sequences of chunk_access/commit, with spans on an eighths
     grid and every span resolved from every node, so (span, node, blocked
     fraction) keys repeat under one home version: every access equals the
     from-scratch oracle bit for bit, and every commit leaves the same page
-    state as the per-page replay."""
+    state as the per-page replay.
+
+    Regions start untouched, partly interleaved or fully homed (so the
+    node-free memo key serves every node from one entry), and ``bind`` /
+    ``interleave`` re-home a span mid-sequence, moving the home version of
+    a region that no commit would move again."""
     mm = MemoryMap(num_nodes=num_nodes, page_bytes=1024)
     region = mm.allocate("r", num_pages * 1024, min_pages=1)
-    if interleaved:
+    if placement == "partial" and interleaved:
         region.pages.interleave(0, min(interleaved, num_pages), list(range(num_nodes)))
+    elif placement == "interleave":
+        region.pages.interleave(0, num_pages, list(range(num_nodes)))
+    elif placement == "bind":
+        region.pages.bind(0, num_pages, interleaved % num_nodes)
     shadow = copy.deepcopy(region)
-    for bf, lo8, width8, node, commit in ops:
+    for bf, lo8, width8, node, op in ops:
         lo = lo8 / 8
         hi = min(lo8 + width8, 8) / 8
         node %= num_nodes
+        if op in ("bind", "interleave"):
+            _rehome(region, op, lo8, width8, node)
+            _rehome(shadow, op, lo8, width8, node)
+            _assert_same_state(region, shadow)
         for exec_node in [*range(num_nodes), node]:
             acc = chunk_access(region, AccessPattern(bf), lo, hi, exec_node)
             weights, reuse = _oracle_access(shadow, bf, lo, hi, exec_node)
             assert acc.node_weights.tobytes() == weights.tobytes()
             assert acc.reuse_fraction == reuse
-        if commit:
+        if op == "commit":
             acc.commit()
             _oracle_commit(shadow, bf, lo, hi, node)
             _assert_same_state(region, shadow)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, MemoryModelError, SimulationError
 from repro.memory.access import AccessPattern
 from repro.runtime.context import RunContext
 from repro.runtime.executor import TaskloopExecutor
+from repro.runtime.reference import ReferenceExecutor
 from repro.runtime.schedulers.base import TaskloopPlan
 from repro.runtime.taskloop import partition
 from repro.runtime.worksteal import HierarchicalStealPolicy, NoStealPolicy, RandomStealPolicy
@@ -112,6 +113,35 @@ class TestBasicExecution:
         )
         with pytest.raises(SimulationError):
             TaskloopExecutor(tiny_ctx).run(work, simple_plan(tiny_ctx, work))
+
+
+class TestEncounterChecks:
+    """The per-encounter values are range-checked once per run, with the
+    exception type the per-task path raised for them; a value set out of
+    range after construction bypasses TaskloopWork's own validation."""
+
+    @pytest.mark.parametrize("executor", [TaskloopExecutor, ReferenceExecutor])
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("reuse", 1.5, MemoryModelError),
+            ("reuse", -0.25, MemoryModelError),
+            ("mem_frac", 1.5, SimulationError),
+            ("mem_frac", -0.5, SimulationError),
+            ("gamma", -1.0, SimulationError),
+        ],
+    )
+    def test_out_of_range_work_rejected(self, tiny_ctx, executor, field, value, error):
+        work = make_work(tiny_ctx, num_tasks=8)
+        setattr(work, field, value)
+        with pytest.raises(error):
+            executor(tiny_ctx).run(work, simple_plan(tiny_ctx, work))
+
+    @pytest.mark.parametrize("mem_frac, reuse", [(0.0, 0.0), (1.0, 1.0)])
+    def test_range_ends_run(self, tiny_ctx, mem_frac, reuse):
+        work = make_work(tiny_ctx, num_tasks=8, mem_frac=mem_frac, reuse=reuse)
+        result = TaskloopExecutor(tiny_ctx).run(work, simple_plan(tiny_ctx, work))
+        assert result.tasks_executed == 8
 
 
 class TestPlanValidation:
