@@ -13,7 +13,10 @@ crashes, transient runner errors, deadline hangs and client disconnects,
 and the recovery machinery (lease reclamation, bounded-budget requeue,
 watchdog cancellation, client backoff) is what the chaos tests replay.
 
-Start a server with ``python -m repro.serve``; drive it with
+One wire front end (:mod:`repro.serve.frontend`) serves one machine
+and a fleet of them alike.  Start a server with ``python -m repro.serve``
+(``--shards N`` for a fleet of N machines behind the router of
+:mod:`repro.serve.federation`); drive it with
 ``python -m repro.serve.loadgen`` (``--fault-spec`` for chaos).
 """
 

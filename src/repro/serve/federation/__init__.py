@@ -26,12 +26,14 @@ each with its own topology, arbiter, fault plan and metrics — behind a
   (:class:`~repro.serve.federation.supervisor.ShardSupervisor`) respawns
   confirmed-dead shards at a new epoch through the live-join path.
 
-The wire front-end
-(:class:`~repro.serve.federation.service.FederationService`) speaks the
-existing newline-JSON protocol, so single-machine clients and the load
-generator drive a fleet unchanged.  Start one with::
+The fleet is served through the one wire front end
+(:class:`~repro.serve.frontend.WireFrontEnd`), bound to the router by
+:class:`~repro.serve.federation.service.FederationService`, so it speaks
+the same newline-JSON protocol as one machine and single-machine clients
+and the load generator drive it unchanged.  There is one serve CLI;
+start a fleet with::
 
-    python -m repro.serve.federation --shards 3 --machine small
+    python -m repro.serve --shards 3 --machine small
 """
 
 from repro.serve.federation.affinity import AffinityPolicy

@@ -22,9 +22,12 @@ Job lifecycle::
 
 Simulations are CPU-bound pure Python, so each job runs on a worker
 thread (``run_in_executor``) while the event loop keeps serving
-submissions, status polls and metrics snapshots.  Graceful drain stops
-admission (typed ``draining`` rejections), lets every admitted job finish,
-then stops the listener — zero jobs are ever dropped.
+submissions, status polls and metrics snapshots.  The listener, the op
+dispatcher and the idempotent drain are the one wire front end
+(:class:`~repro.serve.frontend.WireFrontEnd`); this class is its
+single-machine backend.  Graceful drain stops admission (typed
+``draining`` rejections), lets every admitted job finish, then stops the
+listener — zero jobs are ever dropped.
 
 Failure model & recovery:
 
@@ -50,7 +53,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import time
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -62,11 +64,11 @@ from repro.errors import (
     TransientRunnerError,
 )
 from repro.exp.runner import LEASE_SCHEDULERS, ExperimentConfig, Runner, RunSpec
-from repro.ioutil import atomic_write_json
 from repro.runtime.results import AppRunResult
 from repro.serve.admission import AdmissionQueue
 from repro.serve.arbiter import LeaseLedger, NodeArbiter
 from repro.serve.faults import FaultKind, FaultPlan, WorkerCrashed
+from repro.serve.frontend import WireFrontEnd
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.protocol import (
     AdmissionRejected,
@@ -74,10 +76,6 @@ from repro.serve.protocol import (
     JobRequest,
     JobState,
     ProtocolError,
-    error_response,
-    ok_response,
-    read_message,
-    write_message,
 )
 from repro.serve.tenantstate import TenantStateStore
 from repro.topology.machine import MachineTopology
@@ -87,7 +85,7 @@ from repro.workloads.registry import benchmark_names
 __all__ = ["SchedulingService"]
 
 
-class SchedulingService:
+class SchedulingService(WireFrontEnd):
     """One simulated machine shared by many concurrently submitted jobs."""
 
     def __init__(
@@ -103,6 +101,7 @@ class SchedulingService:
         default_deadline_s: float | None = None,
         latency_reservoir: int = 1024,
     ):
+        super().__init__()
         self.topology = topology or zen4_9354()
         self.config = config or ExperimentConfig.from_env()
         self.runner = Runner(self.config, topology=self.topology)
@@ -134,21 +133,13 @@ class SchedulingService:
         self._worker_tasks: list[asyncio.Task] = []
         self._worker_seq = 0
         self.workers_crashed = 0
-        self._server: asyncio.base_events.Server | None = None
         self._job_counter = 0
-        self._drained = asyncio.Event()
-        self._drain_started = False
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle (the listener and the idempotent drain are the front end's)
     # ------------------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Start the worker pool and the TCP listener; returns (host, port)."""
+    async def _start_backend(self, host: str) -> None:
         self.start_workers()
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
-        sock = self._server.sockets[0]
-        addr = sock.getsockname()
-        return addr[0], addr[1]
 
     def start_workers(self) -> None:
         """In-process mode: start only the worker pool (no TCP listener)."""
@@ -174,38 +165,22 @@ class SchedulingService:
             self._worker_tasks.remove(task)
             self._spawn_worker()
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("service has no TCP listener")
-        return self._server.sockets[0].getsockname()[1]
+    async def _drain_backend(self) -> None:
+        """Stop admission and let every admitted job finish.
 
-    async def drain(self) -> dict[str, Any]:
-        """Graceful shutdown: reject new work, finish admitted work, stop.
-
-        Idempotent — concurrent callers all await the same completion and
-        receive a final metrics snapshot with zero pending jobs.  Safe to
-        call mid-fault: a crash during drain still requeues its job
-        (recovery re-admission bypasses the draining rejection), so every
-        admitted job reaches a terminal state before the drain resolves.
+        Safe to run mid-fault: a crash during drain still requeues its
+        job (recovery re-admission bypasses the draining rejection), so
+        every admitted job reaches a terminal state before it returns.
         """
-        if not self._drain_started:
-            self._drain_started = True
-            self.admission.start_drain()
-            await self.admission.join()
-            # crashed workers are respawned by the supervisor (a done
-            # callback), so gather until the roster is quiescent
-            while True:
-                await asyncio.gather(*list(self._worker_tasks), return_exceptions=True)
-                await asyncio.sleep(0)  # let pending respawn callbacks run
-                if all(t.done() for t in self._worker_tasks):
-                    break
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-            self._drained.set()
-        await self._drained.wait()
-        return self.metrics_snapshot()
+        self.admission.start_drain()
+        await self.admission.join()
+        # crashed workers are respawned by the supervisor (a done
+        # callback), so gather until the roster is quiescent
+        while True:
+            await asyncio.gather(*list(self._worker_tasks), return_exceptions=True)
+            await asyncio.sleep(0)  # let pending respawn callbacks run
+            if all(t.done() for t in self._worker_tasks):
+                break
 
     # ------------------------------------------------------------------
     # submission (in-process API; the wire handler calls this too)
@@ -327,10 +302,7 @@ class SchedulingService:
         # be a bug elsewhere, but a dead shard must never pin nodes
         for job_id in list(self.arbiter.ledger.leases()):
             await self.arbiter.reclaim(job_id)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         # the record deletions stay after every await above so the death
         # is atomic to concurrent observers: a status poll interleaved
         # with the reclaim loop sees either the old world or the fully
@@ -345,6 +317,17 @@ class SchedulingService:
         if record is None:
             raise ProtocolError(f"unknown job {job_id!r}")
         return record
+
+    # the wire view of the two calls above, for the front end's dispatcher
+    def ping_fields(self) -> dict[str, Any]:
+        return {"machine": self.topology.describe()}
+
+    async def submit_fields(self, request: JobRequest) -> dict[str, Any]:
+        record = self.submit(request)
+        return {"job_id": record.job_id, "state": record.state.value}
+
+    async def status_wire(self, job_id: str) -> dict[str, Any]:
+        return self.status(job_id).to_wire()
 
     # ------------------------------------------------------------------
     # execution
@@ -607,68 +590,3 @@ class SchedulingService:
             ),
             tenant_state=self.tenant_state.describe(),
         )
-
-    def persist_snapshot(self, path: str | Path) -> Path:
-        """Atomically write the current metrics snapshot as JSON.
-
-        Tmp file + fsync + rename: a server killed mid-write leaves
-        either the previous snapshot or the new one, never torn JSON.
-        Called by the CLI after a signal-triggered drain so operators get
-        a final, conservation-consistent account of every job.
-        """
-        return atomic_write_json(Path(path), self.metrics_snapshot())
-
-    # ------------------------------------------------------------------
-    # wire handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    message = await read_message(reader)
-                except ProtocolError as exc:
-                    await write_message(writer, error_response("bad_request", str(exc)))
-                    continue
-                if message is None:
-                    return
-                response = await self._dispatch(message)
-                await write_message(writer, response)
-                if message.get("op") == "drain":
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            raise  # cancellation must propagate; `finally` closes the writer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _dispatch(self, message: dict[str, Any]) -> dict[str, Any]:
-        op = message.get("op")
-        try:
-            if op == "ping":
-                return ok_response(pong=True, machine=self.topology.describe())
-            if op == "submit":
-                request = JobRequest.from_wire(message.get("job") or {})
-                record = self.submit(request)
-                return ok_response(job_id=record.job_id, state=record.state.value)
-            if op == "status":
-                record = self.status(message.get("job_id", ""))
-                return ok_response(job=record.to_wire())
-            if op == "metrics":
-                return ok_response(metrics=self.metrics_snapshot())
-            if op == "drain":
-                snapshot = await self.drain()
-                return ok_response(metrics=snapshot)
-            raise ProtocolError(f"unknown op {op!r}")
-        except AdmissionRejected as exc:
-            return error_response(exc.code, str(exc), depth=exc.depth, capacity=exc.capacity)
-        except ProtocolError as exc:
-            return error_response("bad_request", str(exc))
-        except ReproError as exc:
-            return error_response("internal", f"{type(exc).__name__}: {exc}")

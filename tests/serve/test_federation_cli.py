@@ -1,25 +1,33 @@
-"""The federation entry point, ``python -m repro.serve.federation``.
+"""The serve entry point, ``python -m repro.serve [--shards N]``.
 
 Every flag is validated by the constructor that consumes it, so a bad
-value ends as an argparse usage error (exit 2) before any shard starts,
-never as a traceback; and every fleet it builds runs the failure
-detector.
+value ends as an argparse usage error (exit 2) before any service or
+shard starts, never as a traceback, for one machine and for a fleet
+alike; a fleet flag given at ``--shards 1`` is a usage error too, never
+silently ignored; and every fleet it builds runs the failure detector.
 """
 
 import pytest
 
-from repro.serve.federation.__main__ import _build_parser, build_federation, main
+from repro.serve.__main__ import _build_parser, build_service, main
+from repro.serve.server import SchedulingService
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--heartbeat-every", "0"],
-        ["--suspect-after", "3", "--confirm-after", "3"],
-        ["--shard-crash", "1.5"],
-        ["--crash-after", "0", "2"],
-        ["--respawn", "-1"],
+        ["--shards", "3", "--heartbeat-every", "0"],
+        ["--shards", "3", "--suspect-after", "3", "--confirm-after", "3"],
+        ["--shards", "3", "--shard-crash", "1.5"],
+        ["--shards", "3", "--crash-after", "0", "2"],
+        ["--shards", "3", "--respawn", "-1"],
         ["--shards", "0"],
+        ["--max-attempts", "0"],
+        ["--queue-capacity", "0"],
+        ["--workers", "0"],
+        ["--default-deadline", "-1"],
+        ["--fault-spec", "bogus=1"],
+        ["--shards", "1", "--vnodes", "64"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(argv, capsys):
@@ -29,6 +37,7 @@ def test_bad_flag_values_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert "usage:" in err and "error:" in err
     assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
 def test_membership_flag_is_an_unknown_argument(capsys):
@@ -38,8 +47,14 @@ def test_membership_flag_is_an_unknown_argument(capsys):
     assert "unrecognized arguments: --membership" in capsys.readouterr().err
 
 
+def test_one_shard_serves_a_plain_service():
+    service = build_service(_build_parser().parse_args(["--machine", "tiny"]))
+    assert type(service) is SchedulingService
+    assert _build_parser().parse_args([]).port == 7077
+
+
 def test_default_fleet_runs_the_default_detector():
-    router = build_federation(_build_parser().parse_args([])).router
+    router = build_service(_build_parser().parse_args(["--shards", "3"])).router
     detector = router.membership
     assert (
         detector.heartbeat_every,
