@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from repro.errors import RuntimeModelError
 from repro.runtime.task import Chunk
 
 __all__ = ["WorkQueue", "QueueListener"]
@@ -42,42 +41,23 @@ class WorkQueue:
     opposite the owner.
     """
 
-    __slots__ = (
-        "owner_id",
-        "owner_lifo",
-        "_dq",
-        "pushed",
-        "popped",
-        "stolen_from",
-        "listener",
-    )
+    __slots__ = ("owner_id", "owner_lifo", "_dq", "listener")
 
     def __init__(self, owner_id: int, *, owner_lifo: bool = True):
         self.owner_id = owner_id
         self.owner_lifo = owner_lifo
         self._dq: deque[Chunk] = deque()
-        self.pushed = 0
-        self.popped = 0
-        self.stolen_from = 0
         # optional observer notified on empty <-> non-empty transitions;
         # the worker pool uses it to keep O(1) victim-candidate sets
         self.listener: "QueueListener | None" = None
 
     # ------------------------------------------------------------------
-    def push(self, chunk: Chunk) -> None:
-        """Owner-side push (back of the deque)."""
-        was_empty = not self._dq
-        self._dq.append(chunk)
-        self.pushed += 1
-        if was_empty and self.listener is not None:
-            self.listener.queue_nonempty(self.owner_id)
-
     def extend(self, chunks: list[Chunk]) -> None:
+        """Owner-side push of ``chunks``, in order, at the back."""
         if not chunks:
             return
         was_empty = not self._dq
         self._dq.extend(chunks)
-        self.pushed += len(chunks)
         if was_empty and self.listener is not None:
             self.listener.queue_nonempty(self.owner_id)
 
@@ -86,7 +66,6 @@ class WorkQueue:
         if not self._dq:
             return None
         chunk = self._dq.pop() if self.owner_lifo else self._dq.popleft()
-        self.popped += 1
         if not self._dq and self.listener is not None:
             self.listener.queue_empty(self.owner_id)
         return chunk
@@ -104,7 +83,6 @@ class WorkQueue:
         if predicate is not None and not predicate(victim_end):
             return None
         chunk = self._dq.popleft() if self.owner_lifo else self._dq.pop()
-        self.stolen_from += 1
         if not self._dq and self.listener is not None:
             self.listener.queue_empty(self.owner_id)
         return chunk
@@ -112,25 +90,3 @@ class WorkQueue:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._dq)
-
-    def is_empty(self) -> bool:
-        return not self._dq
-
-    def peek_thief_end(self) -> Chunk | None:
-        if not self._dq:
-            return None
-        return self._dq[0] if self.owner_lifo else self._dq[-1]
-
-    def drain(self) -> list[Chunk]:
-        """Remove and return all queued tasks (teardown/testing helper)."""
-        out = list(self._dq)
-        self._dq.clear()
-        if out and self.listener is not None:
-            self.listener.queue_empty(self.owner_id)
-        return out
-
-    def require_empty(self) -> None:
-        if self._dq:
-            raise RuntimeModelError(
-                f"queue of worker {self.owner_id} still holds {len(self._dq)} tasks"
-            )

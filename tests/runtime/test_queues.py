@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import RuntimeModelError
 from repro.runtime.queues import WorkQueue
 from repro.runtime.task import Chunk
 from tests.conftest import make_work
@@ -65,39 +64,10 @@ class TestStealPredicate:
 
 
 class TestBookkeeping:
-    def test_counters(self, chunks):
-        q = WorkQueue(0)
-        q.push(chunks[0])
-        q.extend(chunks[1:3])
-        q.pop_own()
-        q.steal()
-        assert q.pushed == 3 and q.popped == 1 and q.stolen_from == 1
-
     def test_empty_pops_return_none(self):
         q = WorkQueue(0)
         assert q.pop_own() is None
         assert q.steal() is None
-
-    def test_peek(self, chunks):
-        q = WorkQueue(0, owner_lifo=True)
-        assert q.peek_thief_end() is None
-        q.extend(chunks[:2])
-        assert q.peek_thief_end().index == 0
-        assert len(q) == 2
-
-    def test_drain(self, chunks):
-        q = WorkQueue(0)
-        q.extend(chunks[:4])
-        out = q.drain()
-        assert [c.index for c in out] == [0, 1, 2, 3]
-        assert q.is_empty()
-
-    def test_require_empty(self, chunks):
-        q = WorkQueue(0)
-        q.require_empty()
-        q.push(chunks[0])
-        with pytest.raises(RuntimeModelError):
-            q.require_empty()
 
 
 class TestListener:
@@ -115,8 +85,9 @@ class TestListener:
         q = WorkQueue(5)
         rec = self.Recorder()
         q.listener = rec
-        q.push(chunks[0])
-        q.push(chunks[1])  # no transition
+        q.extend(chunks[:1])
+        q.extend(chunks[1:2])  # no transition
+        q.extend([])  # no transition either
         q.pop_own()
         q.pop_own()
         assert rec.events == [("nonempty", 5), ("empty", 5)]
@@ -128,11 +99,3 @@ class TestListener:
         q.extend(chunks[:1])
         q.steal()
         assert rec.events == [("nonempty", 5), ("empty", 5)]
-
-    def test_drain_transition(self, chunks):
-        q = WorkQueue(5)
-        rec = self.Recorder()
-        q.listener = rec
-        q.extend(chunks[:2])
-        q.drain()
-        assert rec.events[-1] == ("empty", 5)

@@ -60,7 +60,7 @@ class TestNonemptyTracking:
     def test_push_updates_sets(self, small_ctx, small):
         w = make_work(small_ctx)
         pool = WorkerPool(small, list(range(8)))
-        pool.worker_for_core(2).queue.push(make_chunk(w))
+        pool.worker_for_core(2).queue.extend([make_chunk(w)])
         assert pool.any_work()
         assert pool.nonempty == {2}
         assert not pool.node_queues_empty(0)
@@ -70,7 +70,7 @@ class TestNonemptyTracking:
         w = make_work(small_ctx)
         pool = WorkerPool(small, list(range(8)))
         q = pool.worker_for_core(2).queue
-        q.push(make_chunk(w, 0))
+        q.extend([make_chunk(w, 0)])
         q.pop_own()
         assert not pool.any_work()
         assert pool.node_queues_empty(0)
