@@ -4,10 +4,13 @@
 list of the program's callables from outside.  A renamed or moved target
 fails ``install()``; a target that the program stops calling (a
 function bound to a new name at import, say) leaves its hook silent and
-its layer at zero.  This test installs the hooks in a fresh interpreter,
-checks the simulation targets are wrapped, and runs one traced
-application to check that every one of them sees its calls.  It only
-reads ``perfbench/`` (no bytecode is written there).
+its layer at zero.  These tests install the hooks in a fresh
+interpreter: one checks the simulation targets are wrapped and runs one
+traced application to check that every one of them sees its calls; the
+other serves one traced job through a two-shard fleet over TCP, built as
+the ``fleet-hot`` workload builds it, and checks every serving target
+sees its calls.  They only read ``perfbench/`` (no bytecode is written
+there).
 """
 
 import json
@@ -62,10 +65,52 @@ print(json.dumps({"wrapped": wrapped, "fine": fine, "tasks": tasks, "spans": nam
 """
 
 
-def test_perfbench_hooks_wrap_and_see_the_simulation():
+_SERVE_PROBE = """
+import asyncio, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+
+tracing.install()
+
+from repro.exp.runner import ExperimentConfig
+from repro.serve.client import ServiceClient
+from repro.serve.federation.router import FederationRouter
+from repro.serve.federation.service import FederationService
+from repro.serve.federation.shard import build_shards
+from repro.serve.protocol import JobRequest
+from repro.topology.presets import tiny_two_node
+
+
+async def serve_one_job():
+    config = ExperimentConfig(seeds=1, timesteps=2, with_noise=False, jobs=1, cache_dir=None)
+    shards = build_shards(2, tiny_two_node, config=config)
+    for shard in shards:
+        tracing.tag_service(shard.service, shard.instance_id)
+    fleet = FederationService(FederationRouter(shards, seed=0))
+    host, port = await fleet.start("127.0.0.1", 0)
+    client = await ServiceClient.connect(host, port)
+    job_id = await client.submit(JobRequest(benchmark="matmul", timesteps=2))
+    record = await client.wait(job_id, timeout=120)
+    await client.close()
+    await fleet.drain()
+    return record["state"]
+
+
+tracing.TRACER.active = True
+state = asyncio.run(serve_one_job())
+tracing.TRACER.active = False
+calls = {}
+for span in tracing.TRACER.spans:
+    calls[span.name] = calls.get(span.name, 0) + 1
+print(json.dumps({"state": state, "calls": calls}))
+"""
+
+
+def _probe(source: str) -> dict:
+    """Run ``source`` against ``src/`` and ``perfbench/``; its last line."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")],
+        [sys.executable, "-c", source, str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
@@ -73,7 +118,11 @@ def test_perfbench_hooks_wrap_and_see_the_simulation():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_perfbench_hooks_wrap_and_see_the_simulation():
+    report = _probe(_PROBE)
     assert report["wrapped"] == sorted(
         [
             "executor.chunk_access",
@@ -91,3 +140,19 @@ def test_perfbench_hooks_wrap_and_see_the_simulation():
     assert fine.get("memory.access") == 2 * tasks
     assert fine.get("sim.step", 0) > 0
     assert fine.get("slowdown", 0) >= fine["sim.step"]
+
+
+def test_perfbench_hooks_see_a_served_fleet_job():
+    report = _probe(_SERVE_PROBE)
+    assert report["state"] == "completed"
+    calls = report["calls"]
+    for name in (
+        "serve.client.submit",
+        "serve.client.status",
+        "serve.submit",
+        "serve.lease_wait",
+        "federation.submit",
+        "federation.status",
+        "federation.pump",
+    ):
+        assert calls.get(name, 0) >= 1, (name, calls)
