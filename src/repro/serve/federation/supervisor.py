@@ -52,9 +52,10 @@ class RespawnRecord:
 class ShardSupervisor:
     """Respawns confirmed-dead shards through an injected factory.
 
-    ``factory(shard_id, epoch)`` must return a started-enough
+    ``factory(shard_id, epoch)`` must return a
     :class:`~repro.serve.federation.shard.ShardHandle` ready for
-    ``service.start()``; ``max_respawns`` caps respawns **per shard id**
+    :meth:`~repro.serve.federation.shard.ShardHandle.start` (its worker
+    pool; no listener); ``max_respawns`` caps respawns **per shard id**
     so a shard whose workload is inherently lethal cannot flap forever
     (past the cap it stays dead and its tenants migrate permanently).
     """
@@ -89,7 +90,7 @@ class ShardSupervisor:
                 f"factory built {shard_id!r} at epoch {handle.epoch}, "
                 f"supervisor asked for {new_epoch}"
             )
-        await handle.service.start()
+        await handle.start()
         self._respawn_counts[shard_id] = self._respawn_counts.get(shard_id, 0) + 1
         self._log.append(
             RespawnRecord(
