@@ -236,16 +236,12 @@ def spy_on_starts(shard, starts: dict):
 async def settle(router: FederationRouter) -> None:
     """Wait (real time, never reported) until nothing is in flight.
 
-    Pumping the failure detector recovers a job stranded on a crashed
-    shard, exactly as a client's status polls would.  The report holds
+    ``router.wait`` pumps the failure detector for a job stranded on a
+    crashed shard, exactly as a client's wait would.  The report holds
     only the deterministic fixed point, never the waiting itself.
     """
-    while True:
-        states = router.job_states()
-        if states["queued"] == states["running"] == 0:
-            return
-        await router.pump_detection()
-        await asyncio.sleep(0.01)
+    for fed_id in list(router.jobs):
+        await router.wait(fed_id)
 
 
 async def run_scenario(row: Scenario, machine: str) -> dict:

@@ -6,9 +6,13 @@ call :class:`~repro.serve.server.SchedulingService` directly.
 
 Resilience built in:
 
-* :meth:`ServiceClient.wait` polls with capped exponential backoff
-  instead of a fixed interval, and ``timeout=None`` means *no* timeout
-  machinery at all (the poll loop is not wrapped in ``wait_for``);
+* :meth:`ServiceClient.wait` is one request: the service answers when
+  the job is terminal, so there is no poll loop and no sleep.  A
+  ``timeout`` travels to the service as ``timeout_s``, which answers
+  with the record as it stands when it expires; the client raises
+  :class:`asyncio.TimeoutError` on that non-terminal reply, having read
+  it, so the connection stays in sync.  ``timeout=None`` means *no*
+  timeout machinery at all (nothing is wrapped in ``wait_for``);
 * :meth:`ServiceClient.submit_with_retry` retries transient failures —
   typed ``queue_full`` backpressure and dropped connections — with
   exponential backoff plus *full jitter* (``uniform(0, min(cap, base·2ⁿ))``)
@@ -213,25 +217,24 @@ class ServiceClient:
         max_poll_interval: float = 0.5,
         timeout: float | None = None,
     ) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns its record.
+        """Block until the job reaches a terminal state; returns its record.
 
-        The poll interval starts at ``poll_interval`` and doubles up to
-        ``max_poll_interval``, so long waits stop hammering the service.
-        ``timeout=None`` polls forever with no ``wait_for`` wrapper at all.
+        One ``wait`` request, answered by the service when the job
+        finishes.  With ``timeout`` (seconds, positive and finite) the
+        service answers once it expires, and a record still not terminal
+        raises :class:`asyncio.TimeoutError`.  ``poll_interval`` and
+        ``max_poll_interval`` are accepted for compatibility and have no
+        effect.
         """
-
-        async def _poll() -> dict[str, Any]:
-            interval = poll_interval
-            while True:
-                job = await self.status(job_id)
-                if job["state"] in ("completed", "failed"):
-                    return job
-                await asyncio.sleep(interval)
-                interval = min(interval * 2.0, max_poll_interval)
-
-        if timeout is None:
-            return await _poll()
-        return await asyncio.wait_for(_poll(), timeout)
+        payload: dict[str, Any] = {"op": "wait", "job_id": job_id}
+        if timeout is not None:
+            payload["timeout_s"] = timeout
+        job = (await self.request(payload))["job"]
+        if job["state"] not in ("completed", "failed"):
+            raise asyncio.TimeoutError(
+                f"job {job_id!r} still {job['state']} after {timeout}s"
+            )
+        return job
 
     async def metrics(self) -> dict[str, Any]:
         response = await self.request({"op": "metrics"})

@@ -52,6 +52,7 @@ mid-flight deaths, respawns and live joins byte-reproducible.
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -63,6 +64,7 @@ from repro.serve.federation.shard import ShardHandle
 from repro.serve.federation.supervisor import ShardSupervisor
 from repro.serve.protocol import (
     AdmissionRejected,
+    JobRecord,
     JobRequest,
     ProtocolError,
 )
@@ -132,6 +134,9 @@ class FederationRouter:
         self.shard_fault_plan = shard_fault_plan
         self.membership = membership or Membership()
         self.supervisor = supervisor
+        #: How :meth:`start` started the shards; a respawn starts the same way.
+        self._expose_shards = False
+        self._host = "127.0.0.1"
         for shard_id in sorted(self.shards):
             self.membership.register(
                 shard_id, epoch=self.shards[shard_id].epoch, at=0
@@ -188,7 +193,10 @@ class FederationRouter:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self, *, expose_shards: bool = False, host: str = "127.0.0.1") -> None:
-        """Start every shard's worker pool (and listeners when exposed)."""
+        """Start every shard's worker pool (and listeners when exposed);
+        a supervised respawn later starts its incarnation the same way."""
+        self._expose_shards = expose_shards
+        self._host = host
         for shard in self.live_shards:
             await shard.start(expose=expose_shards, host=host)
 
@@ -213,9 +221,10 @@ class FederationRouter:
         detection when closed-loop clients stop submitting because their
         in-flight jobs are stranded on a silently-crashed shard: no new
         placements, no heartbeats, no confirmation — a liveness deadlock.
-        Status traffic calls this to run one poll round whenever an
-        unconfirmed crash exists, so polling the very jobs a dead shard
-        stranded is what drives their recovery.
+        Status traffic and every ``wait`` on a stranded job call this to
+        run one poll round whenever an unconfirmed crash exists, so
+        waiting on the very jobs a dead shard stranded is what drives
+        their recovery.
         """
         if self._undetected_crashes():
             await self._heartbeat()
@@ -422,7 +431,8 @@ class FederationRouter:
         self._adopt_orphans(handle, handle.take_stashed_orphans())
         if self.supervisor is not None:
             respawned = await self.supervisor.respawn(
-                shard_id, dead_epoch=epoch, at=self.placements
+                shard_id, dead_epoch=epoch, at=self.placements,
+                expose=self._expose_shards, host=self._host,
             )
             if respawned is not None:
                 self._admit(respawned)
@@ -547,32 +557,81 @@ class FederationRouter:
     # lookup & metrics
     # ------------------------------------------------------------------
     def status(self, fed_id: str) -> dict[str, Any]:
-        """The job's wire record, with federation identity spliced in.
-
-        During the silent-crash detection window a crashed shard's
-        non-terminal jobs live only in its stashed-orphan list (the dead
-        service deleted their records); a status poll in that window
-        answers from the stash — the job is pending recovery, not gone.
-        """
-        job = self.jobs.get(fed_id)
-        if job is None:
-            raise ProtocolError(f"unknown job {fed_id!r}")
-        handle = self.instances[job.shard_id]
-        try:
-            record = handle.service.status(job.local_job_id)
-        except ProtocolError:
-            record = self._stashed_record(handle, job.local_job_id)
-            if record is None:
-                raise
-        wire = record.to_wire()
+        """The job's wire record (:meth:`record`), with federation
+        identity spliced in."""
+        job = self._job(fed_id)
+        wire = self._record(job).to_wire()
         wire["job_id"] = job.fed_id
         wire["shard"] = job.shard_id
         wire["placements"] = list(job.placements)
         wire["migrations"] = job.migrations
         return wire
 
+    def record(self, fed_id: str) -> JobRecord:
+        """The job's record on its holder, read without building its wire
+        form.
+
+        During the silent-crash detection window a crashed shard's
+        non-terminal jobs live only in its stashed-orphan list (the dead
+        service deleted their records); a lookup in that window answers
+        from the stash — the job is pending recovery, not gone.
+        """
+        return self._record(self._job(fed_id))
+
+    async def wait(self, fed_id: str, timeout: float | None = None) -> dict[str, Any]:
+        """Block until the job is terminal; returns :meth:`status` then.
+
+        The fed id is re-resolved at every step, so the wait follows the
+        job across adoption, rebalance and respawn.  While the holder is
+        down and its death unconfirmed, the wait pumps the failure
+        detector (as status polls do) and yields to the event loop
+        between pumps: a job stranded by a silent crash is recovered by
+        waiting on it, even when no placement ever ticks the clock.
+        With ``timeout`` (seconds), returns the record as it stands once
+        that expires.
+        """
+        job = self._job(fed_id)
+        try:
+            await asyncio.wait_for(self._settled(job), timeout)
+        except asyncio.TimeoutError:
+            pass
+        return self.status(fed_id)
+
+    async def _settled(self, job: FederatedJob) -> None:
+        while not (record := self._record(job)).state.terminal:
+            service = self.instances[job.shard_id].service
+            if record.job_id in service.records:
+                # the holder wakes this on finish, kill or eviction
+                await service.wait(record.job_id)
+            else:
+                # a stashed orphan: only confirmation moves it.  The pump
+                # runs as its own task (awaiting it yields to the event
+                # loop), and a wait cancelled by its timeout lets it
+                # finish, so no recovery pipeline stops halfway.
+                pump = asyncio.ensure_future(self.pump_detection())
+                try:
+                    await asyncio.shield(pump)
+                except asyncio.CancelledError:
+                    await pump
+                    raise
+
+    def _job(self, fed_id: str) -> FederatedJob:
+        job = self.jobs.get(fed_id)
+        if job is None:
+            raise ProtocolError(f"unknown job {fed_id!r}")
+        return job
+
+    def _record(self, job: FederatedJob) -> JobRecord:
+        handle = self.instances[job.shard_id]
+        record = handle.service.records.get(job.local_job_id)
+        if record is None:
+            record = self._stashed_record(handle, job.local_job_id)
+        if record is None:
+            raise ProtocolError(f"unknown job {job.local_job_id!r}")
+        return record
+
     @staticmethod
-    def _stashed_record(handle: ShardHandle, local_job_id: str):
+    def _stashed_record(handle: ShardHandle, local_job_id: str) -> JobRecord | None:
         """A crashed-but-unconfirmed shard's orphan, if it holds the job."""
         if handle.alive:
             return None

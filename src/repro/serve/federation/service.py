@@ -10,8 +10,10 @@ Every client built for a single
 fleet unchanged; only the job ids (``fed-00001``), the extra ``shard`` /
 ``placements`` fields and the ``membership`` op (the failure detector's
 view: member states, epochs, respawns, warm-migration counters) betray
-the fleet underneath.  Draining drains every live shard, then closes the
-router's listener.
+the fleet underneath.  ``wait`` is :meth:`FederationRouter.wait`, which
+follows a job across re-placements and pumps the failure detector while
+the job is stranded on an unconfirmed crash.  Draining drains every
+live shard, then closes the router's listener.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class FederationService(WireFrontEnd):
 
     async def submit_fields(self, request: JobRequest) -> dict[str, Any]:
         job = await self.router.submit(request)
-        local = self.router.status(job.fed_id)
-        return {"job_id": job.fed_id, "state": local["state"], "shard": job.shard_id}
+        state = self.router.record(job.fed_id).state.value
+        return {"job_id": job.fed_id, "state": state, "shard": job.shard_id}
 
     async def status_wire(self, job_id: str) -> dict[str, Any]:
         # status traffic pumps detection: closed-loop clients polling
@@ -57,6 +59,9 @@ class FederationService(WireFrontEnd):
         # the death would never confirm
         await self.router.pump_detection()
         return self.router.status(job_id)
+
+    async def wait_wire(self, job_id: str, timeout_s: float | None) -> dict[str, Any]:
+        return await self.router.wait(job_id, timeout_s)
 
     def metrics_snapshot(self) -> dict[str, Any]:
         return self.router.metrics_snapshot()

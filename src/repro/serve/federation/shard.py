@@ -106,9 +106,10 @@ class ShardHandle:
 
         ``alive`` flips only after the kill finishes and the stash is
         set, in one synchronous segment.  Flipping it first opens a race:
-        a status poll during the kill's awaits could pump the detector to
-        confirmation, and ``take_stashed_orphans`` would run on a stash
-        not yet populated — stranding the orphans on a retired handle.
+        a status call or a pending wait during the kill's awaits could
+        pump the detector to confirmation, and ``take_stashed_orphans``
+        would run on a stash not yet populated — stranding the orphans
+        on a retired handle.
         """
         orphans = await self.service.kill()
         self.stashed_orphans = orphans

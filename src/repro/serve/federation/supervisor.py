@@ -54,8 +54,10 @@ class ShardSupervisor:
 
     ``factory(shard_id, epoch)`` must return a
     :class:`~repro.serve.federation.shard.ShardHandle` ready for
-    :meth:`~repro.serve.federation.shard.ShardHandle.start` (its worker
-    pool; no listener); ``max_respawns`` caps respawns **per shard id**
+    :meth:`~repro.serve.federation.shard.ShardHandle.start`, which the
+    respawn calls the way the router started the fleet (its worker pool,
+    plus a listener when the fleet exposes its shards);
+    ``max_respawns`` caps respawns **per shard id**
     so a shard whose workload is inherently lethal cannot flap forever
     (past the cap it stays dead and its tenants migrate permanently).
     """
@@ -78,9 +80,16 @@ class ShardSupervisor:
         return self._respawn_counts.get(shard_id, 0) < self.max_respawns
 
     async def respawn(
-        self, shard_id: str, *, dead_epoch: int, at: int
+        self,
+        shard_id: str,
+        *,
+        dead_epoch: int,
+        at: int,
+        expose: bool = False,
+        host: str = "127.0.0.1",
     ) -> "ShardHandle | None":
-        """Build and start the next incarnation, or ``None`` if over budget."""
+        """Build and start the next incarnation (with its own listener on
+        ``host`` when ``expose``), or ``None`` if over budget."""
         if not self.can_respawn(shard_id):
             return None
         new_epoch = dead_epoch + 1
@@ -90,7 +99,7 @@ class ShardSupervisor:
                 f"factory built {shard_id!r} at epoch {handle.epoch}, "
                 f"supervisor asked for {new_epoch}"
             )
-        await handle.start()
+        await handle.start(expose=expose, host=host)
         self._respawn_counts[shard_id] = self._respawn_counts.get(shard_id, 0) + 1
         self._log.append(
             RespawnRecord(

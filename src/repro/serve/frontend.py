@@ -10,15 +10,18 @@ looked up, the metrics snapshot, how admitted work is drained and, for
 the fleet, a membership view — and the listener, the connection loop,
 the dispatcher, the idempotent drain and the snapshot write exist once.
 
-Ops: ``ping``, ``submit``, ``status``, ``metrics``, ``drain`` and, where
-the backend has a membership view, ``membership``.  A ``drain`` closes
-the connection that sent it once the reply is written; every other
-error is a typed reply and the connection stays open.
+Ops: ``ping``, ``submit``, ``status``, ``wait``, ``metrics``, ``drain``
+and, where the backend has a membership view, ``membership``.  ``wait``
+holds its reply until the job is terminal, or until its optional
+``timeout_s`` expires, and then answers exactly as ``status`` would.  A
+``drain`` closes the connection that sent it once the reply is written;
+every other error is a typed reply and the connection stays open.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from pathlib import Path
 from typing import Any
 
@@ -66,6 +69,12 @@ class WireFrontEnd:
 
     async def status_wire(self, job_id: str) -> dict[str, Any]:
         """One job's wire record; :class:`ProtocolError` if unknown."""
+        raise NotImplementedError
+
+    async def wait_wire(self, job_id: str, timeout_s: float | None) -> dict[str, Any]:
+        """The job's wire record once it is terminal, or as it stands when
+        ``timeout_s`` (``None``: never) expires; :class:`ProtocolError` if
+        unknown."""
         raise NotImplementedError
 
     def metrics_snapshot(self) -> dict[str, Any]:
@@ -159,7 +168,10 @@ class WireFrontEnd:
                 request = JobRequest.from_wire(message.get("job") or {})
                 return ok_response(**await self.submit_fields(request))
             if op == "status":
-                return ok_response(job=await self.status_wire(message.get("job_id", "")))
+                return ok_response(job=await self.status_wire(_job_id(message)))
+            if op == "wait":
+                job_id = _job_id(message)
+                return ok_response(job=await self.wait_wire(job_id, _timeout_s(message)))
             if op == "metrics":
                 return ok_response(metrics=self.metrics_snapshot())
             if op == "membership" and (view := self.membership_snapshot()) is not None:
@@ -173,3 +185,26 @@ class WireFrontEnd:
             return error_response("bad_request", str(exc))
         except ReproError as exc:
             return error_response("internal", f"{type(exc).__name__}: {exc}")
+
+
+def _job_id(message: dict[str, Any]) -> str:
+    """The job id a ``status`` or ``wait`` names (absent: the empty id,
+    which no job has)."""
+    job_id = message.get("job_id", "")
+    if not isinstance(job_id, str):
+        raise ProtocolError(f"'job_id' must be a string, got {job_id!r}")
+    return job_id
+
+
+def _timeout_s(message: dict[str, Any]) -> float | None:
+    """A ``wait``'s optional ``timeout_s``: positive and finite seconds."""
+    value = message.get("timeout_s")
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        0 < value < math.inf  # NaN fails both comparisons
+    ):
+        raise ProtocolError(
+            f"'timeout_s' must be a positive finite number, got {value!r}"
+        )
+    return float(value)

@@ -216,8 +216,8 @@ async def _open_loop(
     waiters: list[asyncio.Task] = []
 
     async def _track(host: str, port: int, job_id: str, t0: float) -> None:
-        async with await ServiceClient.connect(host, port) as poller:
-            job = await _await_job(poller, job_id, plan, out)
+        async with await ServiceClient.connect(host, port) as client:
+            job = await _await_job(client, job_id, plan, out)
             _record(out, f"{host}:{port}", time.monotonic() - t0, job["state"])
 
     submitters = [

@@ -2,9 +2,10 @@
 
 Newline-delimited JSON over a stream: every request and response is one
 JSON object on one line.  Requests carry an ``op`` field (``submit``,
-``status``, ``metrics``, ``drain``, ``ping``); responses carry ``ok`` plus
-either the payload or a typed ``error`` object ``{"code", "message", ...}``
-that client code can turn back into the matching exception.
+``status``, ``wait``, ``metrics``, ``drain``, ``ping``); responses carry
+``ok`` plus either the payload or a typed ``error`` object ``{"code",
+"message", ...}`` that client code can turn back into the matching
+exception.
 
 The module also defines the job model shared by the in-process API and
 the wire: :class:`JobRequest` (what a tenant asks for), :class:`JobState`

@@ -22,10 +22,10 @@ Job lifecycle::
 
 Simulations are CPU-bound pure Python, so each job runs on a worker
 thread (``run_in_executor``) while the event loop keeps serving
-submissions, status polls and metrics snapshots.  The listener, the op
-dispatcher and the idempotent drain are the one wire front end
-(:class:`~repro.serve.frontend.WireFrontEnd`); this class is its
-single-machine backend.  Graceful drain stops admission (typed
+submissions, status lookups, pending waits and metrics snapshots.  The
+listener, the op dispatcher and the idempotent drain are the one wire
+front end (:class:`~repro.serve.frontend.WireFrontEnd`); this class is
+its single-machine backend.  Graceful drain stops admission (typed
 ``draining`` rejections), lets every admitted job finish, then stops the
 listener — zero jobs are ever dropped.
 
@@ -122,6 +122,9 @@ class SchedulingService(WireFrontEnd):
             )
         self.default_deadline_s = default_deadline_s
         self.records: dict[str, JobRecord] = {}
+        #: One signal per waited-on job, set (and dropped) when the job
+        #: finishes or leaves this service: what ``wait`` blocks on.
+        self._signals: dict[str, asyncio.Event] = {}
         # per-(tenant, benchmark) warm state: the fastest node observed in
         # the tenant's previous jobs seeds the next lease's growth, and the
         # full checkpoint (reconstructed PTT + generation) is what the
@@ -269,6 +272,7 @@ class SchedulingService(WireFrontEnd):
         evicted = self.admission.evict_newest(count)
         for record in evicted:
             del self.records[record.job_id]
+            self._signal(record.job_id)
             self.metrics.record_evicted()
         return evicted
 
@@ -309,6 +313,7 @@ class SchedulingService(WireFrontEnd):
         # dead one, never a half-emptied records table
         for record in orphans:
             del self.records[record.job_id]
+            self._signal(record.job_id)
             self.metrics.record_evicted()
         return orphans
 
@@ -317,6 +322,28 @@ class SchedulingService(WireFrontEnd):
         if record is None:
             raise ProtocolError(f"unknown job {job_id!r}")
         return record
+
+    async def wait(self, job_id: str, timeout: float | None = None) -> JobRecord:
+        """Block until the job is terminal or has left this service
+        (:meth:`kill`, :meth:`evict_queued`); returns its record.
+
+        With ``timeout`` (seconds), returns the record as it stands once
+        that expires.  Raises :class:`ProtocolError` for an unknown job.
+        """
+        record = self.status(job_id)
+        if not record.state.terminal:
+            signal = self._signals.setdefault(job_id, asyncio.Event())
+            try:
+                await asyncio.wait_for(signal.wait(), timeout)
+            except asyncio.TimeoutError:
+                pass
+        return record
+
+    def _signal(self, job_id: str) -> None:
+        """Wake every ``wait`` on the job: it finished or left."""
+        signal = self._signals.pop(job_id, None)
+        if signal is not None:
+            signal.set()
 
     # the wire view of the two calls above, for the front end's dispatcher
     def ping_fields(self) -> dict[str, Any]:
@@ -328,6 +355,10 @@ class SchedulingService(WireFrontEnd):
 
     async def status_wire(self, job_id: str) -> dict[str, Any]:
         return self.status(job_id).to_wire()
+
+    async def wait_wire(self, job_id: str, timeout_s: float | None) -> dict[str, Any]:
+        await self.wait(job_id, timeout_s)
+        return await self.status_wire(job_id)
 
     # ------------------------------------------------------------------
     # execution
@@ -517,6 +548,7 @@ class SchedulingService(WireFrontEnd):
             self.metrics.record_completed(latency)
         else:
             self.metrics.record_failed(latency)
+        self._signal(record.job_id)
 
     @staticmethod
     def _summarize(runs: list[AppRunResult]) -> dict[str, Any]:

@@ -65,14 +65,6 @@ def _config():
     )
 
 
-async def _settle(router: FederationRouter, fed_id: str) -> None:
-    """Wait until ``fed_id`` is terminal, pumping the failure detector so a
-    job stranded on a silently crashed shard is recovered and finishes."""
-    while router.status(fed_id)["state"] not in ("completed", "failed"):
-        await router.pump_detection()
-        await asyncio.sleep(0.001)
-
-
 async def _run_scenario(params: dict, *, settle: bool = False) -> dict:
     """Drive one drawn join/leave/crash/respawn sequence to its fixed point.
 
@@ -137,7 +129,9 @@ async def _run_scenario(params: dict, *, settle: bool = False) -> dict:
                        tenant=f"tenant-{i % params['tenants']}")
         )
         if settle:
-            await asyncio.wait_for(_settle(router, job.fed_id), timeout=120)
+            # router.wait pumps the failure detector, so a job stranded
+            # on a silently crashed shard is recovered and finishes
+            await asyncio.wait_for(router.wait(job.fed_id), timeout=120)
     snapshot = await router.drain()
 
     return {

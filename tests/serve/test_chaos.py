@@ -375,7 +375,7 @@ def test_seeded_chaos_run_is_byte_reproducible(plan):
 
 
 # ----------------------------------------------------------------------
-# client resilience: backoff polling and jittered retry
+# client resilience: one-request wait and jittered retry
 # ----------------------------------------------------------------------
 class _StubClient(ServiceClient):
     """ServiceClient with the wire swapped out for canned behaviour."""
@@ -385,37 +385,16 @@ class _StubClient(ServiceClient):
         super().__init__(reader=None, writer=None, host="stub", port=0)
 
 
-def test_wait_backs_off_exponentially_with_cap(monkeypatch):
-    client = _StubClient()
-    polls = {"n": 0}
-    sleeps = []
-
-    async def fake_status(job_id):
-        polls["n"] += 1
-        state = "completed" if polls["n"] >= 7 else "running"
-        return {"job_id": job_id, "state": state}
-
-    async def fake_sleep(delay):
-        sleeps.append(delay)
-
-    client.status = fake_status
-    monkeypatch.setattr(asyncio, "sleep", fake_sleep)
-    job = asyncio.run(client.wait("job-1", poll_interval=0.02, max_poll_interval=0.1))
-    assert job["state"] == "completed"
-    # doubled each poll, capped at the maximum
-    assert sleeps == [0.02, 0.04, 0.08, 0.1, 0.1, 0.1]
-
-
 def test_wait_without_timeout_never_wraps_in_wait_for(monkeypatch):
     client = _StubClient()
 
-    async def fake_status(job_id):
-        return {"job_id": job_id, "state": "completed"}
+    async def fake_request(payload):
+        return {"ok": True, "job": {"job_id": payload["job_id"], "state": "completed"}}
 
     def boom(*args, **kwargs):
         raise AssertionError("wait(timeout=None) must not use asyncio.wait_for")
 
-    client.status = fake_status
+    client.request = fake_request
     monkeypatch.setattr(asyncio, "wait_for", boom)
     job = asyncio.run(client.wait("job-1", timeout=None))
     assert job["state"] == "completed"

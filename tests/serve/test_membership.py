@@ -19,6 +19,7 @@ from repro.exp.runner import ExperimentConfig
 from repro.serve.client import ReconnectExhausted, ServiceClient
 from repro.serve.federation import (
     FederationRouter,
+    FederationService,
     Membership,
     MemberState,
     ShardFaultPlan,
@@ -32,6 +33,8 @@ from repro.serve.server import SchedulingService
 from repro.serve.tenantstate import TenantCheckpoint, TenantStateStore
 from repro.errors import ServeError
 from repro.topology.presets import default_distances, dual_socket_small
+
+TIMEOUT = 60  # hang guard for the wire tests
 
 
 # ----------------------------------------------------------------------
@@ -486,6 +489,75 @@ def test_pump_detection_confirms_death_without_new_placements():
     assert membership["respawns"]["respawns_total"] == 1
     states = snapshot["router"]["job_states"]
     assert states["completed"] + states["failed"] == 8
+
+
+def test_wait_alone_recovers_a_job_stranded_by_a_silent_crash():
+    """The same closed-loop liveness with no status traffic at all: a
+    client that only ``wait``s on its stranded job drives the detector
+    to confirmation, and the reply comes from the shard that adopted
+    the job."""
+    async def run():
+        router, plan = _healing_router(kill_at=1, heartbeat_every=100)
+        fleet = FederationService(router)
+        status_calls = []
+        real_status = fleet.status_wire
+
+        async def status_wire(job_id):
+            status_calls.append(job_id)
+            return await real_status(job_id)
+
+        fleet.status_wire = status_wire
+        host, port = await fleet.start("127.0.0.1", 0)
+        async with await ServiceClient.connect(host, port) as cli:
+            fed_ids = [
+                await cli.submit(JobRequest(benchmark="matmul", timesteps=2,
+                                            nodes=1, tenant=f"tenant-{i % 4}"))
+                for i in range(8)
+            ]
+            assert plan.crashed == ["shard-1"]
+            handle = router.instances["shard-1"]
+            stranded = [
+                fed_id for fed_id in fed_ids
+                if router.jobs[fed_id].shard_id == "shard-1"
+                and router.jobs[fed_id].local_job_id not in handle.service.records
+            ]
+            assert stranded, "the scheduled crash must strand a job"
+            assert router.membership.deaths_confirmed == 0
+            jobs = [await cli.wait(fed_id, timeout=TIMEOUT) for fed_id in stranded]
+            await cli.drain()
+        assert status_calls == []
+        assert router.membership.deaths_confirmed == 1
+        for job in jobs:
+            assert job["state"] == "completed"
+            assert job["placements"][0] == "shard-1"
+            assert job["shard"] != "shard-1"
+            assert job["migrations"] == 1
+
+    asyncio.run(run())
+
+
+def test_respawned_shard_of_an_exposed_fleet_listens_at_its_endpoint():
+    async def run():
+        router, plan = _healing_router(kill_at=1, heartbeat_every=100)
+        await router.start(expose_shards=True)
+        for i in range(8):
+            await router.submit(JobRequest(benchmark="matmul", timesteps=2,
+                                           nodes=1, tenant=f"tenant-{i % 4}"))
+        assert plan.crashed == ["shard-1"]
+        while router._undetected_crashes():
+            await router.pump_detection()
+        respawned = router.shards["shard-1"]
+        assert respawned.instance_id == "shard-1@e1"
+        endpoint = respawned.describe()["endpoint"]
+        assert endpoint is not None
+        host, port = endpoint.rsplit(":", 1)
+        async with await ServiceClient.connect(host, int(port)) as cli:
+            pong = await cli.ping()
+        assert pong["pong"] is True
+        assert pong["machine"] == respawned.service.topology.describe()
+        await router.drain()
+
+    asyncio.run(run())
 
 
 def test_leave_shard_migrates_state_without_loss():

@@ -15,14 +15,22 @@ time fields, results and counters are functions of the script alone.
 Regenerate only when a reply is meant to change::
 
     PYTHONPATH=src python tests/serve/test_wire_transcript.py --write
+
+A second test holds ``wait`` to the same bytes without a fixture of its
+own: on both front ends, a ``wait`` for the finished job, for an unknown
+id or for an id that is not a string must reply exactly as ``status``
+does, and a bad ``timeout_s`` is a ``bad_request``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.exp.runner import ExperimentConfig
 from repro.serve.federation import FederationRouter, FederationService, ShardHandle
@@ -89,33 +97,46 @@ async def _session(start, wait_terminal) -> list[str]:
     return lines
 
 
-async def _until(predicate) -> None:
-    while not predicate():
-        await asyncio.sleep(0.01)
+async def _wait_session(start, wait_terminal) -> list[str]:
+    """Status, then wait, of the finished job, of an unknown id and of an
+    id that is not a string; then waits with each kind of bad
+    ``timeout_s``.  Returns the reply lines."""
+    host, port = await start()
+    reader, writer = await asyncio.open_connection(host, port)
+
+    async def send(message: dict) -> str:
+        writer.write(_line(message).encode() + b"\n")
+        await writer.drain()
+        reply = await asyncio.wait_for(reader.readline(), timeout=TIMEOUT)
+        return reply.decode().rstrip("\n")
+
+    try:
+        job_id = json.loads(await send({"op": "submit", "job": JOB}))["job_id"]
+        await asyncio.wait_for(wait_terminal(job_id), timeout=TIMEOUT)
+        replies = []
+        for known in (job_id, "job-99999", [job_id]):
+            replies.append(await send({"op": "status", "job_id": known}))
+            replies.append(await send({"op": "wait", "job_id": known}))
+            replies.append(await send({"op": "wait", "job_id": known, "timeout_s": 5}))
+        for bad in (0, -1, "5", True, math.inf, math.nan):
+            replies.append(
+                await send({"op": "wait", "job_id": job_id, "timeout_s": bad})
+            )
+        await send({"op": "drain"})
+    finally:
+        writer.close()
+    return replies
 
 
-async def _service_session() -> list[str]:
+async def _service_session(session=_session) -> list[str]:
     service = _service()
-
-    async def wait_terminal(job_id: str) -> None:
-        await _until(lambda: service.status(job_id).state.terminal)
-
-    return await _session(lambda: service.start("127.0.0.1", 0), wait_terminal)
+    return await session(lambda: service.start("127.0.0.1", 0), service.wait)
 
 
-async def _fleet_session() -> list[str]:
+async def _fleet_session(session=_session) -> list[str]:
     shards = [ShardHandle(f"shard-{i}", _service()) for i in range(2)]
     fleet = FederationService(FederationRouter(shards, seed=0))
-
-    def terminal(fed_id: str) -> bool:
-        job = fleet.router.jobs[fed_id]
-        record = fleet.router.instances[job.shard_id].service.records[job.local_job_id]
-        return record.state.terminal
-
-    async def wait_terminal(fed_id: str) -> None:
-        await _until(lambda: terminal(fed_id))
-
-    return await _session(lambda: fleet.start("127.0.0.1", 0), wait_terminal)
+    return await session(lambda: fleet.start("127.0.0.1", 0), fleet.router.wait)
 
 
 def transcript() -> str:
@@ -133,6 +154,28 @@ def test_wire_replies_match_the_pinned_transcript():
     for i, (want, got) in enumerate(zip(expected, actual)):
         assert got == want, f"transcript line {i + 1} differs"
     assert len(actual) == len(expected)
+
+
+@pytest.mark.parametrize("front_end", [_service_session, _fleet_session])
+def test_wait_replies_exactly_as_status_does(front_end):
+    replies = asyncio.run(front_end(_wait_session))
+    finished, unknown, malformed, bad = (
+        replies[:3], replies[3:6], replies[6:9], replies[9:]
+    )
+    assert json.loads(finished[0])["job"]["state"] == "completed"
+    assert finished[1] == finished[0] and finished[2] == finished[0]
+    assert unknown[0] == (
+        '{"ok":false,"error":{"code":"bad_request","message":"unknown job \'job-99999\'"}}'
+    )
+    assert unknown[1] == unknown[0] and unknown[2] == unknown[0]
+    error = json.loads(malformed[0])["error"]
+    assert error["code"] == "bad_request"
+    assert error["message"].startswith("'job_id' must be a string")
+    assert malformed[1] == malformed[0] and malformed[2] == malformed[0]
+    for line in bad:
+        error = json.loads(line)["error"]
+        assert error["code"] == "bad_request"
+        assert error["message"].startswith("'timeout_s' must be a positive finite number")
 
 
 if __name__ == "__main__":

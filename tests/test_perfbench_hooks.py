@@ -91,6 +91,9 @@ async def serve_one_job():
     client = await ServiceClient.connect(host, port)
     job_id = await client.submit(JobRequest(benchmark="matmul", timesteps=2))
     record = await client.wait(job_id, timeout=120)
+    # the wait is one request and polls nothing; one explicit status call
+    # keeps the status and detector-pump hooks exercised
+    await client.status(job_id)
     await client.close()
     await fleet.drain()
     return record["state"]
@@ -156,3 +159,5 @@ def test_perfbench_hooks_see_a_served_fleet_job():
         "federation.pump",
     ):
         assert calls.get(name, 0) >= 1, (name, calls)
+    # the wait itself made no status call
+    assert calls["serve.client.status"] == 1, calls
