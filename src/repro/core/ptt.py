@@ -91,13 +91,19 @@ class TaskloopPTT:
             raise ConfigurationError(
                 f"node_perf must have {self.num_nodes} entries, got {obs.shape}"
             )
-        cur = self.node_perf
-        seen = ~np.isnan(obs)
-        fresh = seen & np.isnan(cur)
-        blend = seen & ~np.isnan(cur)
-        cur[fresh] = obs[fresh]
+        # the IEEE double operations of a masked array update, node by
+        # node on Python floats (array calls on a few elements cost more
+        # than the loop): a NaN observation (``o != o``) leaves its node
+        # alone, a node's first real one is taken as is and later ones
+        # blend in; then one write-back
         a = self.node_perf_alpha
-        cur[blend] = (1.0 - a) * cur[blend] + a * obs[blend]
+        keep = 1.0 - a
+        perf = self.node_perf.tolist()
+        for i, o in enumerate(obs.tolist()):
+            if o == o:
+                c = perf[i]
+                perf[i] = o if c != c else keep * c + a * o
+        self.node_perf[:] = perf
 
     # ------------------------------------------------------------------
     def best_time_per_thread_count(self, policy: str | None = "strict") -> dict[int, float]:

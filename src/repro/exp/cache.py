@@ -18,8 +18,9 @@ Guarantees:
   (tmp file + fsync + rename), so a crash mid-write never leaves a
   readable half-entry;
 * **integrity** — every entry is framed as a header line carrying the
-  SHA-256 of the exact payload bytes that follow; a read verifies it, so
-  a flipped or truncated byte *anywhere* in the file is detected;
+  SHA-256 of the exact payload bytes that follow; a read rebuilds that
+  line from the key and the payload and compares it byte for byte, so a
+  flipped or truncated byte *anywhere* in the file is detected;
 * **self-healing via quarantine** — a corrupt, mismatched or
   stale-schema entry is moved aside into ``<root>/quarantine/`` (kept
   for forensics, never served) and the run is transparently recomputed
@@ -57,6 +58,8 @@ __all__ = [
     "default_cache_dir",
     "topology_fingerprint",
     "run_key",
+    "cell_key_frame",
+    "seed_key",
     "encode_run",
     "decode_run",
     "run_to_json",
@@ -117,9 +120,8 @@ def run_key(
 
     The key is the SHA-256 of the canonical JSON of the payload
     ``{schema, benchmark, scheduler, scheduler_params, seed, timesteps,
-    noise, topology}``.  Everything but the seed is fixed per cell, so its
-    text comes from a memoised frame (:func:`_key_frame`) and only the
-    seed is encoded per call.
+    noise, topology}``: the seed spliced into its cell's
+    :func:`cell_key_frame` (:func:`seed_key`).
 
     ``topology`` accepts a pre-computed fingerprint string so callers
     hashing many runs on one machine pay for :func:`topology_fingerprint`
@@ -128,12 +130,45 @@ def run_key(
     topo_fp = (
         topology if isinstance(topology, str) else topology_fingerprint(topology)
     )
-    prefix, suffix = _key_frame(
-        benchmark, scheduler, _canonical(dict(scheduler_params or {})),
-        timesteps, noise, repr(noise), topo_fp,
+    frame = cell_key_frame(
+        benchmark=benchmark, scheduler=scheduler, timesteps=timesteps,
+        noise=noise, topology_fp=topo_fp, scheduler_params=scheduler_params,
     )
-    text = prefix + _canonical(seed) + suffix
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return seed_key(frame, seed)
+
+
+def cell_key_frame(
+    *,
+    benchmark: str,
+    scheduler: str,
+    timesteps: int | None,
+    noise: NoiseParams | None,
+    topology_fp: str,
+    scheduler_params: Mapping[str, Any] | None = None,
+) -> tuple[str, str]:
+    """The key text of one cell around its seed, ``(prefix, suffix)``.
+
+    Everything but the seed is fixed per cell, so a caller keying many
+    seeds of one cell builds this once (the parameters' text, the noise
+    repr and the :func:`_key_frame` lookup) and passes it to
+    :func:`seed_key` per seed.
+    """
+    return _key_frame(
+        benchmark, scheduler, _canonical(dict(scheduler_params or {})),
+        timesteps, noise, repr(noise), topology_fp,
+    )
+
+
+def seed_key(frame: tuple[str, str], seed: int) -> str:
+    """The run key of ``seed`` in a cell's :func:`cell_key_frame`.
+
+    A plain ``int`` encodes as its ``repr``, which is what the canonical
+    encoder writes for it; any other seed goes through the encoder (a
+    ``bool`` reads ``true``, a NumPy integer raises ``TypeError``).
+    """
+    prefix, suffix = frame
+    seed_text = repr(seed) if type(seed) is int else _canonical(seed)
+    return hashlib.sha256((prefix + seed_text + suffix).encode("utf-8")).hexdigest()
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -214,7 +249,7 @@ def _encode_ledger(ledger: OverheadLedger) -> dict[str, Any]:
 
 
 def _decode_ledger(d: dict[str, Any]) -> OverheadLedger:
-    return OverheadLedger(**{**d, "counts": dict(d["counts"])})
+    return OverheadLedger(**d)
 
 
 def _encode_taskloop(r: TaskloopResult) -> dict[str, Any]:
@@ -265,7 +300,12 @@ def encode_run(result: AppRunResult) -> dict[str, Any]:
 
 
 def decode_run(data: dict[str, Any]) -> AppRunResult:
-    """Inverse of :func:`encode_run`."""
+    """Inverse of :func:`encode_run`.
+
+    The decoded run takes the document's nested dicts over (each
+    ledger's ``counts`` is the document's own), so pass a document no
+    one else holds: a fresh :func:`encode_run` or ``json.loads`` result.
+    """
     return AppRunResult(
         app_name=data["app_name"],
         scheduler=data["scheduler"],
@@ -305,6 +345,19 @@ class CacheStats:
 QUARANTINE_DIR = "quarantine"
 
 
+def _entry_header(key: str, digest: str) -> bytes:
+    """The header line of the entry for ``key`` whose payload hashes to
+    ``digest``: the canonical JSON of ``{key, schema, sha256}``.
+
+    The writer frames each entry with it and the reader compares the
+    stored line with it byte for byte, so a header is accepted only in
+    the exact form this function writes.
+    """
+    return (
+        f'{{"key":{_canonical(key)},"schema":{SCHEMA_VERSION},"sha256":"{digest}"}}'
+    ).encode("utf-8")
+
+
 def _encode_entry(key: str, result: AppRunResult) -> bytes:
     """Frame one entry: header line + exact payload bytes it checksums.
 
@@ -314,14 +367,7 @@ def _encode_entry(key: str, result: AppRunResult) -> bytes:
     mutations and, worse, cost a re-encode per read).
     """
     payload = run_to_json(result).encode("utf-8")
-    header = _canonical(
-        {
-            "schema": SCHEMA_VERSION,
-            "key": key,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        }
-    ).encode("utf-8")
-    return header + b"\n" + payload
+    return _entry_header(key, hashlib.sha256(payload).hexdigest()) + b"\n" + payload
 
 
 #: read size of :func:`_read_file`: above most entries (a 1-timestep
@@ -352,18 +398,21 @@ def _read_file(path: str) -> bytes:
 def _decode_entry(key: str, raw: bytes) -> AppRunResult:
     """Verify and decode one framed entry; raises ``ValueError``/
     ``KeyError``/``TypeError`` on any damage (all roads lead to
-    quarantine)."""
+    quarantine).
+
+    The header line must be exactly :func:`_entry_header` of ``key`` and
+    the SHA-256 of the payload bytes, so a stale schema, a wrong key, a
+    damaged payload and a header in any other spelling all fail one
+    comparison before anything is parsed.
+    """
     newline = raw.find(b"\n")
     if newline < 0:
         raise ValueError("cache entry has no header/payload frame")
-    header = json.loads(raw[:newline])
-    if header["schema"] != SCHEMA_VERSION:
-        raise ValueError("stale cache entry schema")
-    if header["key"] != key:
-        raise ValueError("cache entry stored under the wrong key")
     payload = raw[newline + 1 :]
-    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
-        raise ValueError("cache entry payload fails its checksum")
+    if raw[:newline] != _entry_header(key, hashlib.sha256(payload).hexdigest()):
+        raise ValueError(
+            "cache entry header is not the frame of its key, schema and payload"
+        )
     return decode_run(json.loads(payload))
 
 

@@ -41,7 +41,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.exp.cache import ResultCache, run_key, topology_fingerprint
+from repro.exp.cache import (
+    ResultCache,
+    cell_key_frame,
+    seed_key,
+    topology_fingerprint,
+)
 from repro.exp.stats import Summary, summarize
 from repro.interference.noise import NoiseParams
 from repro.interference.timeline import AsymmetrySpec
@@ -181,6 +186,15 @@ class RunSpec:
     asym_seed: int | None = None
 
     def key(self, topology_fp: str | None = None) -> str:
+        """The run-cache key of this spec (its frame, then its seed)."""
+        if topology_fp is None:
+            topology_fp = topology_fingerprint(self.topology)
+        return seed_key(self.key_frame(topology_fp), self.seed)
+
+    def key_frame(self, topology_fp: str) -> tuple[str, str]:
+        """The key text around this spec's seed
+        (:func:`~repro.exp.cache.cell_key_frame`): shared by every spec
+        that differs from this one only in its seed."""
         params: dict[str, object] = {}
         if self.lease_bits is not None:
             params["lease"] = self.lease_bits
@@ -188,15 +202,42 @@ class RunSpec:
             params["asym"] = self.asym.describe()
         if self.asym_seed is not None:
             params["asym_seed"] = self.asym_seed
-        return run_key(
+        return cell_key_frame(
             benchmark=self.benchmark,
             scheduler=self.scheduler,
-            seed=self.seed,
             timesteps=self.timesteps,
             noise=self.noise,
-            topology=topology_fp if topology_fp is not None else self.topology,
+            topology_fp=topology_fp,
             scheduler_params=params or None,
         )
+
+
+def _same_frame(a: RunSpec, b: RunSpec) -> bool:
+    """Whether two specs share a key frame: every field but the seed is
+    the *same object* (values that compare equal can encode differently,
+    ``1``, ``1.0`` and ``True``; one object cannot)."""
+    return (
+        a.benchmark is b.benchmark
+        and a.scheduler is b.scheduler
+        and a.timesteps is b.timesteps
+        and a.noise is b.noise
+        and a.lease_bits is b.lease_bits
+        and a.asym is b.asym
+        and a.asym_seed is b.asym_seed
+    )
+
+
+def _spec_keys(specs: Iterable[RunSpec], topology_fp: str) -> list[str]:
+    """Each spec's :meth:`RunSpec.key`, with the key frame built once per
+    stretch of specs that differ only in seed (a job, a cell)."""
+    keys = []
+    last = None
+    for spec in specs:
+        if last is None or not _same_frame(spec, last):
+            frame = spec.key_frame(topology_fp)
+        keys.append(seed_key(frame, spec.seed))
+        last = spec
+    return keys
 
 
 #: Schedulers that understand a NUMA-node lease (``allowed_nodes``).
@@ -322,7 +363,7 @@ class Runner:
         if todo:
             cell_specs = {pair: self.job_specs(*pair) for pair in todo}
             cell_keys = {
-                pair: [spec.key(self.topology_fp) for spec in specs]
+                pair: _spec_keys(specs, self.topology_fp)
                 for pair, specs in cell_specs.items()
             }
             results = self._execute({
@@ -415,7 +456,7 @@ class Runner:
                 raise ExperimentError(
                     "run_specs requires specs built for this runner's machine"
                 )
-        keys = [spec.key(fp) for spec in specs]
+        keys = _spec_keys(specs, fp)
         results = self._execute(dict(zip(keys, specs)))
         return [results[key] for key in keys]
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ptt import ExecStats, PerformanceTraceTable, TaskloopPTT
 from repro.errors import ConfigurationError
@@ -104,6 +106,57 @@ class TestTaskloopPTT:
         t.record((2, 3, "strict"), 5.0)
         assert t.mean_time((2, 3, "strict")) == 5.0
         assert t.entries[(2, 3, "strict")].count == 1
+
+
+def _masked_update(cur: np.ndarray, obs: np.ndarray, a: float) -> np.ndarray:
+    """The node-performance EMA as masked NumPy calls (the oracle)."""
+    cur = cur.copy()
+    seen = ~np.isnan(obs)
+    fresh = seen & np.isnan(cur)
+    blend = seen & ~np.isnan(cur)
+    cur[fresh] = obs[fresh]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge sums
+        cur[blend] = (1.0 - a) * cur[blend] + a * obs[blend]
+    return cur
+
+
+#: NaNs (either sign), signed zeros, subnormals, infinities and any double
+_perf_values = st.one_of(
+    st.sampled_from([
+        float("nan"), -float("nan"), 0.0, -0.0, 5e-324, -5e-324,
+        2.2250738585072009e-308, 1e-310, float("inf"), -float("inf"),
+    ]),
+    st.floats(width=64),
+)
+
+
+class TestNodePerfOracle:
+    @settings(max_examples=200)
+    @given(
+        data=st.data(),
+        num_nodes=st.integers(min_value=1, max_value=8),
+        alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        steps=st.integers(min_value=1, max_value=4),
+    )
+    def test_record_matches_masked_update_bit_for_bit(self, data, num_nodes, alpha, steps):
+        vectors = st.lists(_perf_values, min_size=num_nodes, max_size=num_nodes)
+        start = np.array(data.draw(vectors, label="start"), dtype=np.float64)
+        t = TaskloopPTT(num_nodes=num_nodes, node_perf=start.copy(), node_perf_alpha=alpha)
+        expected = start
+        for _ in range(steps):
+            obs = np.array(data.draw(vectors, label="observation"), dtype=np.float64)
+            expected = _masked_update(expected, obs, alpha)
+            t.record((1, 1, "strict"), 1.0, node_perf=obs)
+            assert t.node_perf.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("obs", [np.ones(3), np.ones((2, 1)), np.ones(1)])
+    def test_wrong_shape_observation_raises_and_keeps_node_perf(self, obs):
+        t = TaskloopPTT(num_nodes=2)
+        t.record((2, 3, "strict"), 1.0, node_perf=np.array([1.0, np.nan]))
+        before = t.node_perf.tobytes()
+        with pytest.raises(ConfigurationError):
+            t.record((2, 3, "strict"), 1.0, node_perf=obs)
+        assert t.node_perf.tobytes() == before
 
 
 class TestPerformanceTraceTable:

@@ -1,6 +1,7 @@
 """Tests for the persistent content-addressed run cache."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -12,6 +13,8 @@ from repro.exp.cache import (
     _READ_BYTES,
     SCHEMA_VERSION,
     ResultCache,
+    _encode_entry,
+    _entry_header,
     _read_file,
     decode_run,
     default_cache_dir,
@@ -412,6 +415,91 @@ class TestQuarantine:
         path.write_bytes(raw[: len(raw) // 2])
         assert tmp_cache.get(key) is None
         assert len(tmp_cache.quarantined_files()) == 1
+
+
+def _header_variants(key: str, digest: str) -> dict[str, bytes]:
+    """Header lines that name the entry's key, schema and payload digest
+    but are not the line the writer writes."""
+    fields = {"key": key, "schema": SCHEMA_VERSION, "sha256": digest}
+    compact = {"sort_keys": True, "separators": (",", ":")}
+    variants = {
+        "reordered-keys": json.dumps(
+            {"sha256": digest, "schema": SCHEMA_VERSION, "key": key},
+            separators=(",", ":"),
+        ),
+        "space-after-separator": json.dumps(
+            fields, sort_keys=True, separators=(", ", ":")
+        ),
+        "uppercase-digest": json.dumps({**fields, "sha256": digest.upper()}, **compact),
+        "extra-field": json.dumps({**fields, "note": "x"}, **compact),
+        "short-digest": json.dumps({**fields, "sha256": digest[:-1]}, **compact),
+    }
+    return {name: line.encode() for name, line in variants.items()}
+
+
+class TestHeaderFrame:
+    """The reader accepts a header only as the exact line the writer
+    writes: one definition (``_entry_header``) frames and verifies."""
+
+    SPEC = RunSpec(
+        benchmark="matmul", scheduler="baseline", seed=5, timesteps=1,
+        noise=None, topology=tiny_two_node(),
+    )
+
+    def test_writer_header_is_the_canonical_json_line(self):
+        """``_encode_entry`` frames with ``_entry_header``, whose line is
+        the canonical JSON of ``{key, schema, sha256}`` that earlier
+        writers wrote (so their entries still verify)."""
+        key = run_key(**BASE_KEY_KWARGS)
+        header, payload = _encode_entry(key, synthetic_run()).split(b"\n", 1)
+        digest = hashlib.sha256(payload).hexdigest()
+        assert header == _entry_header(key, digest)
+        assert header == json.dumps(
+            {"schema": SCHEMA_VERSION, "key": key, "sha256": digest},
+            sort_keys=True, separators=(",", ":"),
+        ).encode()
+
+    @pytest.mark.parametrize("key", ['say "hi"', "back\\slash", "naïve-调度"])
+    def test_header_escapes_keys_like_the_canonical_encoder(self, key):
+        digest = "0" * 64
+        assert _entry_header(key, digest) == json.dumps(
+            {"key": key, "schema": SCHEMA_VERSION, "sha256": digest},
+            sort_keys=True, separators=(",", ":"),
+        ).encode()
+
+    def test_fresh_put_reads_back_as_a_verified_hit(self, tmp_cache):
+        key = run_key(**BASE_KEY_KWARGS)
+        run = synthetic_run()
+        tmp_cache.put(key, run)
+        got = tmp_cache.get(key)
+        assert got is not None and run_to_json(got) == run_to_json(run)
+        assert tmp_cache.stats.hits == 1
+        assert tmp_cache.stats.invalidated == 0
+
+    @pytest.mark.parametrize(
+        "variant", sorted(_header_variants("k", "0" * 64))
+    )
+    def test_non_canonical_header_is_quarantined_and_recomputed(
+        self, tiny, tmp_cache, variant
+    ):
+        runner = Runner(ExperimentConfig(seeds=1), topology=tiny, cache=tmp_cache)
+        [expected] = runner.run_specs([self.SPEC])
+        key = self.SPEC.key(runner.topology_fp)
+        path = tmp_cache.path_for(key)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        line = _header_variants(key, hashlib.sha256(payload).hexdigest())[variant]
+        assert line != header
+        path.write_bytes(line + b"\n" + payload)
+
+        [recomputed] = runner.run_specs([self.SPEC])
+        assert run_to_json(recomputed) == run_to_json(expected)
+        assert tmp_cache.stats.quarantined == 1
+        assert tmp_cache.quarantined_files()[0].read_bytes().startswith(line + b"\n")
+        # the recomputed run was stored afresh and now verifies
+        assert path.read_bytes().split(b"\n", 1)[0] == header
+        hits = tmp_cache.stats.hits
+        assert tmp_cache.get(key) is not None
+        assert tmp_cache.stats.hits == hits + 1
 
 
 class TestDefaultCacheDir:

@@ -127,21 +127,30 @@ class TestRunner:
 
 class TestKeyDerivedOnce:
     """Every spec's cache key is derived once per call, on a cold cache and
-    on a warm one: the lookup and the result lookup share it."""
+    on a warm one: the lookup and the result lookup share it.  The key
+    frame is built once per stretch of specs that differ only in seed."""
 
     @pytest.fixture
     def key_calls(self, monkeypatch):
+        """The seeds keyed through the per-spec derivation, and the
+        number of key frames built, since the last ``clear``."""
         from repro.exp import runner as runner_module
 
-        calls = []
-        real = runner_module.run_key
+        seeds = []
+        frames = []
+        real_key, real_frame = runner_module.seed_key, runner_module.cell_key_frame
 
-        def spy(**kwargs):
-            calls.append((kwargs["benchmark"], kwargs["scheduler"], kwargs["seed"]))
-            return real(**kwargs)
+        def key_spy(frame, seed):
+            seeds.append(seed)
+            return real_key(frame, seed)
 
-        monkeypatch.setattr(runner_module, "run_key", spy)
-        return calls
+        def frame_spy(**kwargs):
+            frames.append((kwargs["benchmark"], kwargs["scheduler"]))
+            return real_frame(**kwargs)
+
+        monkeypatch.setattr(runner_module, "seed_key", key_spy)
+        monkeypatch.setattr(runner_module, "cell_key_frame", frame_spy)
+        return seeds, frames
 
     @staticmethod
     def _runner(tiny, cache):
@@ -151,26 +160,28 @@ class TestKeyDerivedOnce:
         )
 
     def test_run_specs(self, tiny, tmp_cache, key_calls):
+        seeds, frames = key_calls
         runner = self._runner(tiny, tmp_cache)
         specs = runner.job_specs("matmul", "baseline", seeds=3)
         for expected_hits in (0, len(specs)):  # cold, then warm
-            key_calls.clear()
+            seeds.clear()
+            frames.clear()
             runner.run_specs(specs)
-            assert sorted(key_calls) == sorted(
-                (s.benchmark, s.scheduler, s.seed) for s in specs
-            )
+            assert sorted(seeds) == sorted(s.seed for s in specs)
+            assert frames == [("matmul", "baseline")]
             assert tmp_cache.stats.hits == expected_hits
 
     def test_cells(self, tiny, tmp_cache, key_calls):
+        seeds, frames = key_calls
         pairs = [("matmul", "baseline"), ("cg", "worksharing")]
         for expected_hits in (0, 4):  # cold, then warm in a fresh runner
-            key_calls.clear()
+            seeds.clear()
+            frames.clear()
             runner = self._runner(tiny, ResultCache(tmp_cache.root))
             runner.cells(pairs)
             specs = [spec for pair in pairs for spec in runner.job_specs(*pair)]
-            assert sorted(key_calls) == sorted(
-                (s.benchmark, s.scheduler, s.seed) for s in specs
-            )
+            assert sorted(seeds) == sorted(s.seed for s in specs)
+            assert frames == pairs
             assert runner.cache.stats.hits == expected_hits
 
 

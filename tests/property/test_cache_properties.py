@@ -18,7 +18,9 @@ from repro.exp.cache import (
 )
 from repro.exp.figures import OverheadRow, SpeedupRow, ThreadsRow, VariabilityRow
 from repro.exp.persistence import load_results, save_results
+from repro.exp.runner import ExperimentConfig, Runner, RunSpec, default_noise
 from repro.interference.noise import NoiseParams
+from repro.interference.timeline import AsymmetrySpec
 from repro.runtime.overhead import OverheadLedger
 from repro.runtime.results import AppRunResult, TaskloopResult
 from repro.topology.presets import tiny_two_node
@@ -116,6 +118,112 @@ def test_key_matches_canonical_payload_oracle(seeds, **cell):
     seeds share one cell (memoised state never changes a digest)."""
     for seed in seeds:
         assert run_key(seed=seed, **cell) == _oracle_key(seed=seed, **cell)
+
+
+# ----------------------------------------------------------------------
+# the keys Runner.run_specs and Runner.cells derive (one frame per stretch)
+# ----------------------------------------------------------------------
+_TOPO = tiny_two_node()
+
+#: each field's values; the groups ``1``/``True``/``1.0`` and the two
+#: ``mean_interval`` noises compare equal but encode differently, and the
+#: two default noises and the two dvfs spellings are equal objects that
+#: encode alike
+_SPEC_FIELDS = {
+    "benchmark": ["matmul", "cg"],
+    "scheduler": ["ilan", "baseline"],
+    "timesteps": [None, 1, True, 1.0, 2],
+    "noise": [
+        None, default_noise(), default_noise(),
+        NoiseParams(mean_interval=1), NoiseParams(mean_interval=1.0),
+    ],
+    "lease_bits": [None, 1, True, 3],
+    "asym": [
+        None, AsymmetrySpec(), AsymmetrySpec(dvfs_interval=0.2),
+        AsymmetrySpec.parse("dvfs_interval=0.200"),
+    ],
+    "asym_seed": [None, 1, True, 1.0, 7],
+}
+_seeds = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0, 1, True])
+)
+
+
+@st.composite
+def spec_batches(draw):
+    """Specs in run order: each switches a drawn subset of its
+    predecessor's fields (interleaving cells, leases, asymmetry, noise
+    and timesteps) and draws a seed."""
+    fields = {name: draw(st.sampled_from(values)) for name, values in _SPEC_FIELDS.items()}
+    batch = [RunSpec(seed=draw(_seeds), topology=_TOPO, **fields)]
+    for _ in range(draw(st.integers(min_value=0, max_value=11))):
+        for name in draw(st.sets(st.sampled_from(sorted(_SPEC_FIELDS)))):
+            fields[name] = draw(st.sampled_from(_SPEC_FIELDS[name]))
+        batch.append(RunSpec(seed=draw(_seeds), topology=_TOPO, **fields))
+    return batch
+
+
+def _oracle_spec_key(spec, topology_fp):
+    """The documented key of a spec: lease, enabled asymmetry and asym
+    seed enter ``scheduler_params`` only when set."""
+    params = {}
+    if spec.lease_bits is not None:
+        params["lease"] = spec.lease_bits
+    if spec.asym is not None and spec.asym.enabled:
+        params["asym"] = spec.asym.describe()
+    if spec.asym_seed is not None:
+        params["asym_seed"] = spec.asym_seed
+    return _oracle_key(
+        benchmark=spec.benchmark, scheduler=spec.scheduler, seed=spec.seed,
+        timesteps=spec.timesteps, noise=spec.noise, topology=topology_fp,
+        scheduler_params=params,
+    )
+
+
+class _KeyRunner(Runner):
+    """A runner whose "result" of each run is the key it derived for it."""
+
+    def _execute(self, by_key):
+        return {key: key for key in by_key}
+
+
+@settings(max_examples=150)
+@given(batch=spec_batches())
+def test_run_specs_keys_match_spec_key_and_oracle(batch):
+    """Every key ``run_specs`` derives, frames shared or not, is the
+    spec's own key and the hash of its documented payload: a value that
+    compares equal to its predecessor's but encodes differently never
+    reuses its frame."""
+    runner = _KeyRunner(ExperimentConfig(seeds=1), topology=_TOPO)
+    fp = runner.topology_fp
+    keys = runner.run_specs(batch)
+    assert keys == [spec.key(fp) for spec in batch]
+    assert keys == [_oracle_spec_key(spec, fp) for spec in batch]
+
+
+@settings(max_examples=60)
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from(["matmul", "cg", "ft"]),
+                  st.sampled_from(["ilan", "baseline"])),
+        min_size=1, max_size=5,
+    ),
+    seeds=st.integers(min_value=1, max_value=3),
+    timesteps=st.sampled_from([None, 1, True, 2]),
+    with_noise=st.booleans(),
+    asym_spec=st.sampled_from([None, "dvfs_interval=0.2"]),
+    asym_seed=st.sampled_from([None, 1, True]),
+)
+def test_cells_keys_match_spec_key_and_oracle(pairs, **config):
+    """Every key ``cells`` derives for interleaved cells is the key of
+    the matching ``job_specs`` spec and the hash of its documented
+    payload."""
+    runner = _KeyRunner(ExperimentConfig(**config), topology=_TOPO)
+    fp = runner.topology_fp
+    for pair, cell in runner.cells(pairs).items():
+        specs = runner.job_specs(*pair)
+        assert cell.runs == [spec.key(fp) for spec in specs]
+        assert cell.runs == [_oracle_spec_key(spec, fp) for spec in specs]
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
