@@ -97,10 +97,6 @@ class InterferenceModel:
         s[cores] = (1.0 - mf) + mf * mem_mult
         return s
 
-    def saturation(self, states: CoreStates) -> np.ndarray:
-        """Per-node saturation ratio ``D_n / B_n`` (diagnostics)."""
-        return self.node_demand(states) / self.bandwidth.node_bandwidth
-
     def slowdowns_and_saturation(self, states: CoreStates) -> tuple[np.ndarray, np.ndarray]:
         """Both per-core slowdowns and per-node saturation in one pass.
 

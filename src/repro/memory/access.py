@@ -107,11 +107,17 @@ class ChunkAccess:
         bf = self.pattern.blocked_fraction
         span_frac = self.hi_frac - self.lo_frac
         pages = self.region.pages
+        # with every page homed, a touch homes nothing and only writes
+        # last-touch state; the span and node were checked on resolution
+        homed = not pages.num_untouched
         if bf > 0.0 and self._page_span is not None:
             start, stop = self._page_span
-            pages.first_touch(start, stop, self.exec_node)
+            if homed:
+                pages.last[start:stop] = self.exec_node
+            else:
+                pages.first_touch(start, stop, self.exec_node)
         if bf < 1.0:
-            if pages.num_untouched:
+            if not homed:
                 untouched = np.flatnonzero(pages.home == -1)
                 want = int(round(span_frac * pages.num_pages * (1.0 - bf)))
                 if want > 0:
@@ -143,7 +149,14 @@ def chunk_access(
     reuse = 0.0
     span: tuple[int, int] | None = None
     if bf > 0.0:
-        span = region.page_span(lo_frac, min(hi_frac, 1.0))
+        # DataRegion.page_span of [lo_frac, min(hi_frac, 1)), whose span
+        # check only adds lo_frac < 1 to the one above
+        if lo_frac >= 1.0:
+            raise MemoryModelError(f"bad span [{lo_frac}, {min(hi_frac, 1.0)})")
+        n = pages.num_pages
+        start = min(int(lo_frac * n), n - 1)
+        stop = n if hi_frac >= 1.0 else int(hi_frac * n)
+        span = (start, min(max(stop, start + 1), n))
     # the weights depend on the homes only: reuse them while the region's
     # home version stands (the memo empties itself when it moves).  The
     # executing node enters only through the untouched pages it would
@@ -180,7 +193,10 @@ def chunk_access(
         memo[key] = weights
 
     if span is not None:
-        reuse += bf * pages.last_touch_fraction(span[0], span[1], exec_node)
+        # the span's share of pages last touched by the node; spans are a
+        # few pages, so counting in a list beats a NumPy compare and reduce
+        start, stop = span
+        reuse += bf * (float(pages.last[start:stop].tolist().count(exec_node)) / (stop - start))
     if bf < 1.0:
         reuse += (1.0 - bf) * float(region.last_share[exec_node])
 

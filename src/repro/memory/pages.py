@@ -36,7 +36,9 @@ class PageState:
     whenever it may have changed ``home``, so state derived from the homes
     (the node-weight vectors of :meth:`weight_memo`) is valid exactly while
     the version stands.  Last-touch state changes on every touch, is kept
-    only as the ``last`` array and is never memoised; its histogram
+    only as the ``last`` array and is never memoised: the touch mutators
+    fill it, a commit on a region with no untouched page writes it
+    directly (``ChunkAccess.commit``), and its histogram
     (:meth:`last_counts`) is computed on demand.
 
     Parameters
@@ -153,12 +155,6 @@ class PageState:
         self.home[start:stop] = assignment
         self._home_counts += np.bincount(assignment, minlength=self.num_nodes)
 
-    def record_touch(self, start: int, stop: int, node: int) -> None:
-        """Update last-touch state for pages ``[start, stop)``."""
-        self._check_range(start, stop)
-        self._check_node(node)
-        self.last[start:stop] = node
-
     def _unhome(self, start: int, stop: int) -> None:
         """Drop pages ``[start, stop)`` from the home counts before a re-home."""
         old = self.home[start:stop]
@@ -193,14 +189,6 @@ class PageState:
         counts = np.bincount(touched, minlength=self.num_nodes).astype(np.float64)
         return counts, int((stop - start) - touched.size)
 
-    def last_touch_fraction(self, start: int, stop: int, node: int) -> float:
-        """Fraction of pages ``[start, stop)`` last touched by ``node``."""
-        self._check_range(start, stop)
-        self._check_node(node)
-        # chunk spans are a few pages: counting in a list beats a NumPy
-        # compare and reduction
-        return float(self.last[start:stop].tolist().count(node)) / (stop - start)
-
     def region_home_weights(self) -> np.ndarray:
         """Region-wide home distribution as weights over nodes.
 
@@ -212,14 +200,6 @@ class PageState:
         if total == 0:
             return np.zeros(self.num_nodes)
         return self._home_counts / total
-
-    def region_last_weights(self) -> np.ndarray:
-        """Region-wide last-touch distribution as weights over nodes."""
-        counts = self.last_counts()
-        total = counts.sum()
-        if total == 0:
-            return np.zeros(self.num_nodes)
-        return counts / total
 
     def untouched_fraction(self) -> float:
         return 1.0 - (self.num_pages - self.num_untouched) / self.num_pages

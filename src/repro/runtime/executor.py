@@ -33,7 +33,7 @@ from repro.runtime.results import TaskloopResult
 from repro.runtime.schedulers.base import TaskloopPlan
 from repro.runtime.task import Chunk, TaskloopWork
 from repro.runtime.threads import Worker, WorkerPool
-from repro.sim.progress import EPS
+from repro.sim.progress import EPS, CoreStates
 from repro.sim.trace import StealRecord, TaskloopRecord, TaskRecord
 
 __all__ = ["TaskloopExecutor"]
@@ -221,6 +221,71 @@ class _Encounter:
             )
 
 
+class _Lanes:
+    """The fused step's per-lane buffers (one set per taskloop) and the two
+    expressions that core speed enters.
+
+    Each method takes ``states`` for the speeds; ``None`` means unit speed
+    (``CoreStates.unit_speed``).  ``x / 1.0`` and ``x * 1.0`` are ``x`` in
+    IEEE arithmetic for every value, signed zeros and infinities included,
+    so the unit branch leaves out the speed operations and writes the same
+    bits.
+    """
+
+    __slots__ = ("times", "ov_wall", "burn_wall", "tmp", "body_wall", "prog")
+
+    def __init__(self, num_cores: int):
+        self.times = np.empty(num_cores)
+        self.ov_wall = np.empty(num_cores)
+        self.burn_wall = np.empty(num_cores)
+        self.tmp = np.empty(num_cores)
+        self.body_wall = np.empty(num_cores)
+        self.prog = np.empty(num_cores)
+
+    def completion_times(
+        self, ov: np.ndarray, rem: np.ndarray, slowdown: np.ndarray, states: CoreStates | None
+    ) -> np.ndarray:
+        """``(ov + rem * s) / speed`` per lane, into ``times``; offline lanes
+        (``speed_div = 1``) are pinned to ``inf`` like the reference's
+        ``CoreStates.completion_times``."""
+        times = self.times
+        np.multiply(rem, slowdown, out=times)
+        np.add(ov, times, out=times)
+        if states is not None:
+            np.divide(times, states.speed_div, out=times)
+            if states.any_offline:
+                np.copyto(times, np.inf, where=states.offline)
+        return times
+
+    def burn(
+        self, dt: float, ov: np.ndarray, slowdown: np.ndarray, states: CoreStates | None
+    ) -> None:
+        """Burn up to ``dt`` of each lane's overhead ``ov`` (in place) and
+        write the body progress of the step's remainder into ``prog``:
+        ``CoreStates.advance``'s overhead and progress expressions."""
+        burn = self.burn_wall
+        body_wall = self.body_wall
+        prog = self.prog
+        if states is None:
+            np.minimum(ov, dt, out=burn)
+            np.subtract(ov, burn, out=ov)
+            np.subtract(dt, burn, out=body_wall)
+            np.divide(body_wall, slowdown, out=prog)
+            return
+        speed = states.speed
+        ov_wall = self.ov_wall
+        tmp = self.tmp
+        np.divide(ov, states.speed_div, out=ov_wall)
+        if states.any_offline:
+            np.copyto(ov_wall, np.inf, where=states.offline)
+        np.minimum(ov_wall, dt, out=burn)
+        np.multiply(burn, speed, out=tmp)
+        np.subtract(ov, tmp, out=ov)
+        np.subtract(dt, burn, out=body_wall)
+        np.multiply(body_wall, speed, out=prog)
+        np.divide(prog, slowdown, out=prog)
+
+
 class TaskloopExecutor:
     """Executes taskloop plans against a :class:`RunContext`."""
 
@@ -312,13 +377,17 @@ class TaskloopExecutor:
           reference's own expressions, only on a change);
         * dispatch walks a maintained idle-core list in ascending core
           order — the same ``acquire`` call sequence the reference's
-          full-pool scan makes, without touching active workers;
+          full-pool scan makes, without touching active workers, minus
+          the calls of cores the steal policy reports exhausted, which
+          could only fail with no side effect;
         * completion times and the advance run maskless over all cores
           into preallocated buffers, with idle cores parked at
           ``ov = inf, rem = 0`` so every idle lane is an exact bitwise
           no-op of the reference's masked computation: its completion
           time is ``inf``, its overhead burns the whole step at no cost,
           its body progresses by exactly ``0.0`` and it never completes.
+          While ``CoreStates.unit_speed`` holds, the speed operations,
+          identities then, are skipped.
         """
         ctx = self.ctx
         states = ctx.states
@@ -336,13 +405,15 @@ class TaskloopExecutor:
         steals_remote = 0
 
         # every participating core is idle at entry (run() checked), so the
-        # idle list starts as the pool's ascending core order
+        # idle list starts as the pool's ascending core order; a core that
+        # dispatch retires leaves both the list and the live count
         idle = [w.core_id for w in enc.pool]
-        num_workers = len(idle)
-        sl, sr, idle = self._dispatch(enc, idle)
+        live_workers = len(idle)
+        sl, sr, idle, retired = self._dispatch(enc, idle)
         steals_local += sl
         steals_remote += sr
-        active_count = num_workers - len(idle)
+        live_workers -= retired
+        active_count = live_workers - len(idle)
 
         num_cores = states.num_cores
         rem = states.rem
@@ -351,12 +422,11 @@ class TaskloopExecutor:
         busy_time = states.busy_time
         work_done = states.work_done
         # preallocated step buffers (per taskloop, not per step)
-        times = np.empty(num_cores)
-        ov_wall = np.empty(num_cores)
-        burn = np.empty(num_cores)
-        tmp = np.empty(num_cores)
-        body_wall = np.empty(num_cores)
-        prog = np.empty(num_cores)
+        lanes = _Lanes(num_cores)
+        completion_times = lanes.completion_times
+        burn = lanes.burn
+        tmp = lanes.tmp
+        prog = lanes.prog
         new_rem = np.empty(num_cores)
         delta = np.empty(num_cores)
         done = np.empty(num_cores, dtype=bool)
@@ -381,20 +451,10 @@ class TaskloopExecutor:
                 slowdown = inc.slowdowns()
                 if sample_counters:
                     mean_sat, max_sat = inc.saturation_scalars()
-                # noise/asymmetry rebind these arrays; re-read every step
-                speed = states.speed
-                speed_div = states.speed_div
-                any_offline = states.any_offline
-                offline = states.offline
-                # completion times: (ov + rem * s) / speed, maskless;
-                # offline lanes (speed_div = 1) are pinned to inf like the
-                # reference's completion_times
-                np.multiply(rem, slowdown, out=times)
-                np.add(ov, times, out=times)
-                np.divide(times, speed_div, out=times)
-                if any_offline:
-                    np.copyto(times, np.inf, where=offline)
-                dt_complete = float(minimum(times))
+                # noise/asymmetry rebind the speed arrays and move the
+                # flag: read once per step, for both speed expressions
+                speeds = None if states.unit_speed else states
+                dt_complete = float(minimum(completion_times(ov, rem, slowdown, speeds)))
                 dt_event = events.next_time() - clock.now
                 dt = min(dt_complete, max(dt_event, 0.0))
                 if not math.isfinite(dt):
@@ -410,15 +470,7 @@ class TaskloopExecutor:
                     # rem = 0, slowdown = 1: the step burns as overhead)
                     # and on offline lanes (burn covers the step at speed
                     # 0: nothing progresses)
-                    np.divide(ov, speed_div, out=ov_wall)
-                    if any_offline:
-                        np.copyto(ov_wall, np.inf, where=offline)
-                    np.minimum(ov_wall, dt, out=burn)
-                    np.multiply(burn, speed, out=tmp)
-                    np.subtract(ov, tmp, out=ov)
-                    np.subtract(dt, burn, out=body_wall)
-                    np.multiply(body_wall, speed, out=prog)
-                    np.divide(prog, slowdown, out=prog)
+                    burn(dt, ov, slowdown, speeds)
                     np.subtract(rem, prog, out=tmp)
                     np.maximum(tmp, 0.0, out=new_rem)
                     np.add(busy_time, dt, out=busy_time, where=active)
@@ -442,17 +494,20 @@ class TaskloopExecutor:
                     if completed:
                         idle.extend(completed)
                         idle.sort()
-                    sl, sr, idle = self._dispatch(enc, idle)
+                    sl, sr, idle, retired = self._dispatch(enc, idle)
                     steals_local += sl
                     steals_remote += sr
-                    active_count = num_workers - len(idle)
+                    live_workers -= retired
+                    active_count = live_workers - len(idle)
         finally:
             # leave idle cores exactly as the reference does (ov = 0.0)
             ov[~states.active] = 0.0
         return executed, steals_local, steals_remote
 
     # ------------------------------------------------------------------
-    def _dispatch(self, enc: _Encounter, idle: list[int]) -> tuple[int, int, list[int]]:
+    def _dispatch(
+        self, enc: _Encounter, idle: list[int]
+    ) -> tuple[int, int, list[int], int]:
         """Give every idle participating core a task if one is available.
 
         Loops until a full pass makes no progress, because one worker's
@@ -464,12 +519,20 @@ class TaskloopExecutor:
         worker (cores never turn idle mid-dispatch), iterating the sorted
         idle list makes the *identical* sequence of ``acquire`` calls —
         same workers, same order, same RNG draws, same ledger charges —
-        without touching the active majority.  Returns the updated list.
+        without touching the active majority.  A core whose acquire fails
+        while the policy reports it exhausted is retired: every later
+        acquire of it in this encounter would fail too, drawing nothing
+        and charging nothing, so leaving those calls out changes no bit.
+        Returns the steal counts, the updated list and how many cores it
+        retired.
         """
         steals_local = 0
         steals_remote = 0
+        retired = 0
         pool = enc.pool
-        acquire = enc.plan.policy.acquire
+        policy = enc.plan.policy
+        acquire = policy.acquire
+        exhausted = policy.exhausted
         rng = enc.rng
         params = self.ctx.params
         ledger = enc.ledger
@@ -489,7 +552,10 @@ class TaskloopExecutor:
                 worker = by_core[core]
                 acq = acquire(worker, pool, rng, params, ledger)
                 if acq is None:
-                    still_idle.append(core)
+                    if exhausted(worker, pool):
+                        retired += 1
+                    else:
+                        still_idle.append(core)
                     continue
                 progress = True
                 if acq.source == "steal_local":
@@ -498,7 +564,7 @@ class TaskloopExecutor:
                     steals_remote += 1
                 start(worker, acq.chunk, acq.overhead, acq.source, acq.victim_core)
             idle = still_idle
-        return steals_local, steals_remote, idle
+        return steals_local, steals_remote, idle, retired
 
     def _node_performance(
         self, busy_before: np.ndarray, work_before: np.ndarray

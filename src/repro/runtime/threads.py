@@ -98,16 +98,6 @@ class WorkerPool:
         except KeyError:
             raise RuntimeModelError(f"core {core_id} is not part of this pool") from None
 
-    def workers_in_node(self, node_id: int) -> list[Worker]:
-        return self.by_node.get(node_id, [])
-
-    def primary_worker_of_node(self, node_id: int) -> Worker:
-        """The pool worker on the node's lowest-numbered active core."""
-        workers = self.workers_in_node(node_id)
-        if not workers:
-            raise RuntimeModelError(f"node {node_id} has no workers in this pool")
-        return min(workers, key=lambda w: w.core_id)
-
     def node_queues_empty(self, node_id: int) -> bool:
         """True when every queue of ``node_id``'s workers is empty."""
         return not self.nonempty_by_node.get(node_id)
@@ -115,6 +105,3 @@ class WorkerPool:
     def any_work(self) -> bool:
         """True when any queue in the pool holds work."""
         return bool(self.nonempty)
-
-    def total_queued(self) -> int:
-        return sum(len(w.queue) for w in self.workers)

@@ -84,6 +84,16 @@ class StealPolicy(ABC):
     ) -> Acquisition | None:
         """Attempt to steal a task for ``worker``."""
 
+    def exhausted(self, worker: Worker, pool: WorkerPool) -> bool:
+        """Whether every later :meth:`acquire` of ``worker`` in this
+        encounter must fail, drawing no random number and charging nothing.
+
+        Queues only drain inside an encounter, so a true answer stays true
+        until the encounter ends, and the executor stops asking such a
+        worker.  The default promises nothing.
+        """
+        return False
+
     # ------------------------------------------------------------------
     @staticmethod
     def _take(
@@ -182,6 +192,11 @@ class HierarchicalStealPolicy(StealPolicy):
         if probes:
             ledger.charge("steal_fail", probes * params.steal_fail, count=probes)
         return None
+
+    def exhausted(self, worker, pool):
+        # strict: with the node drained, acquire pops nothing, finds no local
+        # victim and returns before any draw or charge
+        return not self.allow_inter_node and pool.node_queues_empty(worker.node_id)
 
 
 class NoStealPolicy(StealPolicy):

@@ -26,7 +26,10 @@ change log:
 3. every slowdown row is then recomputed from the cached operands in one
    maskless pass: a node's ratio feeds every row with weight on it, and
    selecting the rows whose inputs moved costs more NumPy calls than it
-   saves.
+   saves.  The one exception selects nothing: when no node is saturated
+   a row is ``1 - mem_frac + mem_frac * rowsum(weights × latency)``, a
+   function of its own operands alone, so an unsaturated refresh that
+   follows an unsaturated one rewrites only the logged rows.
 
 Byte-identity with the reference engine is a design invariant, not an
 approximation: every refreshed quantity is recomputed with the *same
@@ -45,6 +48,8 @@ accordingly.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -76,6 +81,12 @@ class IncrementalInterference:
         "_g1",
         "_omf",
         "_exponents",
+        "_rows",
+        "_rows_exact",
+        "_unsaturated",
+        "_ratio",
+        "_wlp",
+        "_mem_mult",
     )
 
     def __init__(self, model: InterferenceModel, states: CoreStates):
@@ -109,6 +120,16 @@ class IncrementalInterference:
         self._omf = np.ones(num_cores)
         # active rows per distinct 1 + gamma
         self._exponents: dict[float, int] = {}
+        # each core's (weights, latency, wl, prod) row views, built once
+        self._rows = list(zip(states.weights, model.latency, self._wl, self._prod))
+        # an unsaturated refresh after an unsaturated one rewrites only the
+        # logged rows, each from a 1-D reduce of its wl row (probed)
+        self._rows_exact = _row_reduce_matches_axis_reduce(num_cores, num_nodes)
+        self._unsaturated = False
+        # saturated-branch buffers
+        self._ratio = np.empty(num_nodes)
+        self._wlp = np.empty((num_cores, num_nodes))
+        self._mem_mult = np.empty(num_cores)
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:
@@ -125,11 +146,8 @@ class IncrementalInterference:
         a = states.active
         online = states.online
         mem_frac = states.mem_frac
-        weights = states.weights
-        latency = model.latency
         gamma = states.gamma
-        prod = self._prod
-        wl = self._wl
+        rows = self._rows
         g1 = self._g1
         omf = self._omf
         exponents = self._exponents
@@ -137,21 +155,23 @@ class IncrementalInterference:
         # or flipped core, with the reference's own expressions; a core
         # that finished and started again this step is logged twice but
         # rebuilt once, from its current state
-        for core in set(changed):
+        logged = changed if len(changed) == 1 else set(changed)
+        for core in logged:
+            w_row, lat_row, wl_row, prod_row = rows[core]
             old = g1[core]
             if a[core]:
-                np.multiply(weights[core], latency[core], out=wl[core])
+                np.multiply(w_row, lat_row, out=wl_row)
                 new = 1.0 + gamma[core]
                 omf[core] = 1.0 - mem_frac[core]
                 if online[core]:
-                    np.multiply(mem_frac[core], weights[core], out=prod[core])
+                    np.multiply(mem_frac[core], w_row, out=prod_row)
                 else:
-                    prod[core] = 0.0
+                    prod_row.fill(0.0)
             else:
                 new = 0.0
-                wl[core] = 0.0
+                wl_row.fill(0.0)
                 omf[core] = 1.0
-                prod[core] = 0.0
+                prod_row.fill(0.0)
             if new != old:
                 g1[core] = new
                 if old:
@@ -169,31 +189,48 @@ class IncrementalInterference:
         if self._demand_full:
             demand = model.node_demand(states)
         else:
-            demand = model.bandwidth.core_bandwidth * np.add.reduce(prod, axis=0)
+            demand = model.bandwidth.core_bandwidth * np.add.reduce(self._prod, axis=0)
         sat = demand / model.bandwidth.node_bandwidth
         # the saturation maximum feeds the counters and decides the branch
         # below: every ratio max(sat, 1) is 1.0 exactly when no saturation
         # exceeds 1.0
         sat_max = float(np.maximum.reduce(sat))
-        # every row, with the per-row expressions of
-        # InterferenceModel.slowdowns; both branches agree bitwise on every
-        # row (ratio == 1 makes the penalty exactly 1.0), so the branch
-        # choice is pure speed
+        s = self._s
+        # with the per-row expressions of InterferenceModel.slowdowns; both
+        # branches agree bitwise on every row (ratio == 1 makes the penalty
+        # exactly 1.0), so the branch choice is pure speed
         if sat_max <= 1.0:
-            mem_mult = np.add.reduce(wl, axis=1)
+            if self._unsaturated and self._rows_exact:
+                # no ratio moved and no other row's operands did: rewrite
+                # the logged rows, each from its own operands
+                add = np.add.reduce
+                for core in logged:
+                    s[core] = omf[core] + mem_frac[core] * add(rows[core][2])
+            else:
+                mem_mult = np.add.reduce(self._wl, axis=1, out=self._mem_mult)
+                np.multiply(mem_frac, mem_mult, out=mem_mult)
+                np.add(omf, mem_mult, out=s)
+            self._unsaturated = True
         else:
-            log_r = np.log(np.maximum(sat, 1.0))
+            log_r = np.maximum(sat, 1.0, out=self._ratio)
+            np.log(log_r, out=log_r)
+            wlp = self._wlp
             if len(exponents) == 1:
                 # one exponent on every active row (one taskloop runs at a
                 # time): its penalty row, broadcast; idle rows have wl = 0
                 # and take any finite penalty
                 (g,) = exponents
-                penalty = np.exp(g * log_r)
+                np.multiply(g, log_r, out=log_r)
+                np.exp(log_r, out=log_r)
+                np.multiply(self._wl, log_r, out=wlp)
             else:
-                penalty = np.exp(np.multiply.outer(g1, log_r))
-            mem_mult = np.add.reduce(wl * penalty, axis=1)
-        np.multiply(mem_frac, mem_mult, out=mem_mult)
-        np.add(omf, mem_mult, out=self._s)
+                np.multiply.outer(g1, log_r, out=wlp)
+                np.exp(wlp, out=wlp)
+                np.multiply(self._wl, wlp, out=wlp)
+            mem_mult = np.add.reduce(wlp, axis=1, out=self._mem_mult)
+            np.multiply(mem_frac, mem_mult, out=mem_mult)
+            np.add(omf, mem_mult, out=s)
+            self._unsaturated = False
         self._sat = sat
         self._sat_max = sat_max
         self._mean_stale = True
@@ -229,6 +266,7 @@ class IncrementalInterference:
         return self._sat_mean, self._sat_max
 
 
+@functools.cache
 def _padded_sum_matches_compacted(num_rows: int, num_cols: int) -> bool:
     """Probe numpy's axis-0 reduction for the zero-row identity.
 
@@ -241,13 +279,10 @@ def _padded_sum_matches_compacted(num_rows: int, num_cols: int) -> bool:
     break it (observable at ``num_cols == 1``).  Probing the actual
     behaviour at startup keeps the fast path safe against numpy changes:
     on any mismatch the engine silently falls back to the reference
-    expression per step.
+    expression per step.  The answer depends on numpy and the shape only,
+    so it is computed once per shape and process.
     """
-    rows = np.arange(num_rows, dtype=np.float64)[:, None]
-    cols = np.arange(num_cols, dtype=np.float64)[None, :]
-    # association-sensitive values: sums of reciprocals round differently
-    # under almost any regrouping of the accumulation tree
-    x = 1.0 / (3.0 + 5.0 * rows + 7.0 * cols)
+    x = _association_sensitive(num_rows, num_cols)
     idx = np.arange(num_rows)
     for modulus in (2, 3, 5):
         mask = (idx % modulus) != 0
@@ -257,3 +292,31 @@ def _padded_sum_matches_compacted(num_rows: int, num_cols: int) -> bool:
         if not np.array_equal(x[mask].sum(axis=0), padded.sum(axis=0)):
             return False
     return True
+
+
+@functools.cache
+def _row_reduce_matches_axis_reduce(num_rows: int, num_cols: int) -> bool:
+    """Probe numpy's last-axis reduction for the one-row identity.
+
+    An unsaturated refresh that follows an unsaturated one rewrites only
+    the logged rows, each from ``np.add.reduce(wl[c])``, where the
+    every-row pass takes row ``c`` of ``np.add.reduce(wl, axis=1)``.  The
+    two are bit-identical when numpy reduces a contiguous 1-D row exactly
+    as it reduces each row of a C-contiguous matrix along its last axis,
+    which holds for today's numpy but is behaviour, not a guarantee.  On
+    any mismatch the refresh keeps the every-row pass.  Computed once per
+    shape and process.
+    """
+    x = _association_sensitive(num_rows, num_cols)
+    whole = np.add.reduce(x, axis=1)
+    one_by_one = np.array([np.add.reduce(row) for row in x])
+    return whole.tobytes() == one_by_one.tobytes()
+
+
+def _association_sensitive(num_rows: int, num_cols: int) -> np.ndarray:
+    """A C-contiguous matrix whose row and column sums round differently
+    under almost any regrouping of the accumulation tree (sums of
+    reciprocals)."""
+    rows = np.arange(num_rows, dtype=np.float64)[:, None]
+    cols = np.arange(num_cols, dtype=np.float64)[None, :]
+    return 1.0 / (3.0 + 5.0 * rows + 7.0 * cols)

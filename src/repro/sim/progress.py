@@ -69,6 +69,12 @@ class CoreStates:
         every core is online; offline lanes hold ``1.0`` so maskless
         ``x / speed_div`` never divides by zero.  Multiply by ``speed``,
         divide by ``speed_div``.
+    unit_speed:
+        Whether every core is online at speed exactly ``1.0``.  In IEEE
+        arithmetic ``x * 1.0`` and ``x / 1.0`` are ``x`` for every value
+        (signed zeros and infinities included), so while it holds a caller
+        may skip every multiplication by ``speed`` and division by
+        ``speed_div`` without changing a bit.
     online:
         Whether the core is available at all.  An offline core freezes the
         task it was running (resumed on re-online; no migration) and is
@@ -95,6 +101,7 @@ class CoreStates:
         "online",
         "offline",
         "any_offline",
+        "unit_speed",
         "speed_epoch",
         "online_epoch",
         "payload",
@@ -133,6 +140,7 @@ class CoreStates:
         self.online = self._all_online
         self.offline = self._no_offline
         self.any_offline = False
+        self.unit_speed = bool((base_speed == 1.0).all())
         self.speed_epoch = 0
         self.online_epoch = 0
         self.payload: list[Any] = [None] * num_cores
@@ -265,7 +273,9 @@ class CoreStates:
         self._recompute_speed()
 
     def _recompute_speed(self) -> None:
-        """Recompose ``speed``/``speed_div`` from layers and the online mask.
+        """Recompose ``speed``/``speed_div`` from layers and the online mask,
+        and record whether every core is online at exactly ``1.0``
+        (``unit_speed``).
 
         With no layers and everyone online this reproduces the pre-layer
         expressions bitwise (``base * f`` for a single layer is exactly the
@@ -279,11 +289,13 @@ class CoreStates:
         speed = self.base_speed.copy() if f is None else self.base_speed * f
         if self.online is self._all_online or self.online.all():
             self.any_offline = False
+            self.unit_speed = bool((speed == 1.0).all())
             self.offline = self._no_offline
             self.speed = speed
             self.speed_div = speed
         else:
             self.any_offline = True
+            self.unit_speed = False
             self.offline = ~self.online
             self.speed = np.where(self.online, speed, 0.0)
             self.speed_div = np.where(self.online, speed, 1.0)
@@ -292,13 +304,6 @@ class CoreStates:
     # ------------------------------------------------------------------
     def any_active(self) -> bool:
         return bool(self.active.any())
-
-    def idle_cores(self, eligible: np.ndarray | None = None) -> list[int]:
-        """Idle core ids, optionally restricted to a boolean mask."""
-        mask = ~self.active
-        if eligible is not None:
-            mask = mask & eligible
-        return [int(c) for c in np.flatnonzero(mask)]
 
     def completion_times(self, slowdown: np.ndarray) -> np.ndarray:
         """Wall time until each active core completes, ``inf`` if idle.

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.interference.model import InterferenceModel
 from repro.memory.bandwidth import BandwidthModel
+from repro.sim.incremental import IncrementalInterference
 from repro.sim.progress import CoreStates
 from repro.topology.presets import default_distances, tiny_two_node
 
@@ -105,9 +106,11 @@ class TestDemand:
         _, _, model = machine
         states = CoreStates(4, 2)
         start(states, 0, mem_frac=1.0, weights=[1.0, 0.0])
-        sat = model.saturation(states)
+        _, sat = model.slowdowns_and_saturation(states)
         assert sat[0] == pytest.approx(0.8)
         assert sat[1] == 0.0
+        _, cached = IncrementalInterference(model, states).slowdowns_and_saturation()
+        assert cached.tobytes() == sat.tobytes()
 
 
 class TestConstruction:

@@ -40,6 +40,17 @@ class TestBlocked:
         assert np.all(region.pages.home[0:16] == 2)
         assert np.all(region.pages.last[0:16] == 2)
 
+    def test_homed_commit_writes_only_last(self, region):
+        """With every page homed, a commit homes nothing: it writes the
+        span's last-touch node and leaves the homes and their version."""
+        region.pages.interleave(0, 64, nodes=[0, 1])
+        home, version = region.pages.home.copy(), region.pages.home_version
+        chunk_access(region, AccessPattern.blocked(), 0.0, 0.0625, exec_node=2).commit()
+        assert np.all(region.pages.last[0:4] == 2)
+        assert np.all(region.pages.last[4:] == -1)
+        assert np.array_equal(region.pages.home, home)
+        assert region.pages.home_version == version
+
     def test_rerun_same_node_full_locality_and_reuse(self, region):
         chunk_access(region, AccessPattern.blocked(), 0.0, 0.25, 2).commit()
         acc = chunk_access(region, AccessPattern.blocked(), 0.0, 0.25, 2)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MemoryModelError
+from repro.memory.access import AccessPattern, chunk_access
+from repro.memory.allocator import MemoryMap
 from repro.memory.pages import UNTOUCHED, PageState
 
 
@@ -63,23 +65,21 @@ class TestBindInterleave:
 
 
 class TestTouch:
-    def test_record_touch_updates_last(self, ps):
-        ps.record_touch(0, 4, node=2)
-        assert np.all(ps.last[0:4] == 2)
-        assert ps.last[5] == UNTOUCHED
-
-    def test_last_touch_fraction(self, ps):
-        ps.record_touch(0, 2, node=1)
-        ps.record_touch(2, 4, node=0)
-        assert ps.last_touch_fraction(0, 4, 1) == 0.5
-        assert ps.last_touch_fraction(0, 4, 3) == 0.0
+    def test_last_touch_fraction(self):
+        """A chunk's reuse share is the fraction of its span last touched
+        by the executing node (``chunk_access`` counts it)."""
+        region = MemoryMap(num_nodes=4, page_bytes=1024).allocate("r", 16 * 1024, min_pages=1)
+        region.pages.first_touch(0, 2, node=1)
+        region.pages.first_touch(2, 4, node=0)
+        blocked = AccessPattern.blocked()
+        assert chunk_access(region, blocked, 0.0, 0.25, 1).reuse_fraction == 0.5
+        assert chunk_access(region, blocked, 0.0, 0.25, 3).reuse_fraction == 0.0
 
     def test_last_counts_consistent_after_overwrites(self, ps):
-        ps.record_touch(0, 8, node=0)
-        ps.record_touch(4, 12, node=1)
-        w = ps.region_last_weights()
-        assert w[0] == pytest.approx(4 / 12)
-        assert w[1] == pytest.approx(8 / 12)
+        ps.first_touch(0, 8, node=0)
+        ps.first_touch(4, 12, node=1)
+        assert np.array_equal(ps.last_counts(), [4, 8, 0, 0])
+        assert ps.last[12] == UNTOUCHED
 
 
 class TestQueries:

@@ -45,7 +45,8 @@ def test_page_state_counts_stay_consistent(num_pages, num_nodes, ops):
         elif kind == 1:
             ps.bind(lo, hi, node)
         elif kind == 2:
-            ps.record_touch(lo, hi, node)
+            # a last-touch-only write, as a commit on a homed region makes
+            ps.last[lo:hi] = node
         elif kind == 3:
             ps.interleave(lo, hi, [n % num_nodes for n in nodes])
         else:

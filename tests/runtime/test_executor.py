@@ -1,17 +1,29 @@
 """Unit/integration tests for the taskloop executor."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, MemoryModelError, SimulationError
 from repro.memory.access import AccessPattern
 from repro.runtime.context import RunContext
-from repro.runtime.executor import TaskloopExecutor
+from repro.runtime.executor import TaskloopExecutor, _Lanes
 from repro.runtime.reference import ReferenceExecutor
+from repro.runtime.schedulers import create_scheduler
 from repro.runtime.schedulers.base import TaskloopPlan
 from repro.runtime.taskloop import partition
 from repro.runtime.worksteal import HierarchicalStealPolicy, NoStealPolicy, RandomStealPolicy
+from repro.sim.progress import CoreStates
+from repro.topology.presets import dual_socket_small
 from tests.conftest import make_work
+from tests.sim.test_engine_equivalence import (
+    assert_contexts_identical,
+    assert_taskloop_identical,
+)
 
 
 def simple_plan(ctx, work, *, cores=None, policy=None, spread=True, owner_lifo=True,
@@ -237,3 +249,115 @@ class TestDeterminism:
             work = make_work(ctx, num_tasks=16, total_iters=64)
             results.append(TaskloopExecutor(ctx).run(work, simple_plan(ctx, work)).elapsed)
         assert results[0] == results[1]
+
+
+class _SpyStrictPolicy(HierarchicalStealPolicy):
+    """The strict hierarchical policy, logging every ``acquire`` and every
+    ``exhausted`` answer in call order."""
+
+    def __init__(self):
+        super().__init__(allow_inter_node=False)
+        self.log = []
+
+    def acquire(self, worker, pool, rng, params, ledger):
+        self.log.append(("acquire", worker.core_id, None))
+        return super().acquire(worker, pool, rng, params, ledger)
+
+    def exhausted(self, worker, pool):
+        answer = super().exhausted(worker, pool)
+        self.log.append(("exhausted", worker.core_id, (answer, pool.any_work())))
+        return answer
+
+
+class TestDrainedCores:
+    """A core whose strict node has drained is retired from dispatch: no
+    acquire call of it follows, the run keeps its bits, and it still
+    counts toward the deadlock check."""
+
+    @staticmethod
+    def _strict_ilan_encounter(executor_type):
+        ctx = RunContext.create(dual_socket_small(), seed=3, trace=True)
+        # later iterations weigh more, so node 0's share drains first
+        work = make_work(ctx, num_tasks=32, total_iters=64, weights=np.linspace(1.0, 4.0, 64))
+        scheduler = create_scheduler("ilan")
+        scheduler.reset()
+        spy = _SpyStrictPolicy()
+        plan = dataclasses.replace(scheduler.plan(work, ctx), policy=spy)
+        return ctx, executor_type(ctx).run(work, plan), spy.log
+
+    def test_no_acquire_after_exhausted_and_same_bits(self):
+        ctx, result, log = self._strict_ilan_encounter(TaskloopExecutor)
+        ref_ctx, ref_result, ref_log = self._strict_ilan_encounter(ReferenceExecutor)
+        assert_taskloop_identical(ref_result, result)
+        assert_contexts_identical(ref_ctx, ctx)
+        retired = set()
+        for kind, core, detail in log:
+            if kind == "acquire":
+                assert core not in retired
+            elif detail[0]:
+                retired.add(core)
+        # a node drained while others still held work, and the reference
+        # kept asking its cores what production no longer asks
+        assert any(kind == "exhausted" and detail == (True, True) for kind, _, detail in log)
+        assert len(ref_log) > sum(kind == "acquire" for kind, _, _ in log)
+
+    @pytest.mark.parametrize("executor", [TaskloopExecutor, ReferenceExecutor])
+    def test_deadlock_with_retired_cores(self, tiny, executor):
+        """Node 1's cores are offline for good with its chunks queued:
+        once node 0 drains and its cores retire, no core can run."""
+        ctx = RunContext.create(tiny, seed=7)
+        work = make_work(ctx, num_tasks=4)
+        chunks = partition(work)
+        spy = _SpyStrictPolicy()
+        plan = TaskloopPlan(
+            worker_cores=[0, 1, 2, 3],
+            initial_queues={0: chunks[:2], 1: [], 2: chunks[2:], 3: []},
+            policy=spy,
+            owner_lifo=False,
+            num_threads=4,
+            node_mask_bits=0b11,
+            steal_mode="strict",
+        )
+        ctx.states.set_online(np.array([True, True, False, False]))
+        with pytest.raises(SimulationError, match="deadlock"):
+            executor(ctx).run(work, plan)
+        if executor is TaskloopExecutor:
+            exhausted = {core for kind, core, d in spy.log if kind == "exhausted" and d[0]}
+            assert exhausted == {0, 1}
+
+
+#: lane values of the fused step: parked idle lanes (ov = inf), overhead
+#: burned to a signed zero or a rounding residue either side of it, and
+#: ordinary remaining work
+_OV = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-17, -1e-17, math.inf]),
+    st.floats(min_value=0.0, max_value=10.0),
+)
+_REM = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324]), st.floats(min_value=0.0, max_value=10.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lanes=st.lists(
+        st.tuples(_OV, _REM, st.floats(min_value=1.0, max_value=50.0)), min_size=1, max_size=16
+    ),
+    dt=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+)
+def test_unit_speed_branch_matches_general_branch(lanes, dt):
+    """At speed exactly 1.0 the step's unit branch (no speed operations)
+    writes the general branch's bits: completion times, burned overhead,
+    body progress and the remaining work that follows."""
+    ov, rem, slowdown = (np.array(column, dtype=np.float64) for column in zip(*lanes))
+    states = CoreStates(len(lanes), 1)
+    assert states.unit_speed
+    out = []
+    for speeds in (None, states):
+        step = _Lanes(len(lanes))
+        lane_ov = ov.copy()
+        times = step.completion_times(lane_ov, rem, slowdown, speeds).tobytes()
+        step.burn(dt, lane_ov, slowdown, speeds)
+        new_rem = np.maximum(rem - step.prog, 0.0)
+        out.append((times, lane_ov.tobytes(), step.prog.tobytes(), new_rem.tobytes()))
+    assert out[0] == out[1]

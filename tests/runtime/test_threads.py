@@ -23,8 +23,8 @@ class TestPoolConstruction:
     def test_partial_pool(self, small):
         pool = WorkerPool(small, [0, 1, 4, 5])
         assert pool.node_ids() == [0, 1]
-        assert len(pool.workers_in_node(0)) == 2
-        assert pool.workers_in_node(3) == []
+        assert len(pool.by_node[0]) == 2
+        assert 3 not in pool.by_node
 
     def test_worker_ids_dense_in_core_order(self, small):
         pool = WorkerPool(small, [5, 0, 9])
@@ -38,12 +38,6 @@ class TestPoolConstruction:
     def test_duplicates_rejected(self, small):
         with pytest.raises(RuntimeModelError):
             WorkerPool(small, [0, 0])
-
-    def test_primary_worker_of_node(self, small):
-        pool = WorkerPool(small, [1, 2, 3])
-        assert pool.primary_worker_of_node(0).core_id == 1
-        with pytest.raises(RuntimeModelError):
-            pool.primary_worker_of_node(3)
 
     def test_worker_for_core_unknown(self, small):
         pool = WorkerPool(small, [0, 1])
@@ -74,9 +68,3 @@ class TestNonemptyTracking:
         q.pop_own()
         assert not pool.any_work()
         assert pool.node_queues_empty(0)
-
-    def test_total_queued(self, small_ctx, small):
-        w = make_work(small_ctx)
-        pool = WorkerPool(small, list(range(4)))
-        pool.worker_for_core(0).queue.extend([make_chunk(w, i) for i in range(3)])
-        assert pool.total_queued() == 3

@@ -1,5 +1,7 @@
 """Unit tests for work acquisition and the steal policies."""
 
+import copy
+
 import pytest
 
 from repro.runtime.overhead import OverheadLedger, OverheadParams
@@ -171,3 +173,66 @@ class TestNoSteal:
             pool.worker_for_core(0), pool, rng, params, OverheadLedger()
         )
         assert acq.source == "own"
+
+
+class TestExhausted:
+    """``exhausted``: every later acquire of the worker in this encounter
+    fails with no side effect, so the executor may stop asking."""
+
+    def test_strict_policy_exhausted_exactly_when_node_drained(
+        self, small, small_ctx, params, rng
+    ):
+        w = make_work(small_ctx)
+        pool = WorkerPool(small, list(range(16)))
+        strict = HierarchicalStealPolicy(allow_inter_node=False)
+
+        def answers():
+            return {
+                worker.core_id: strict.exhausted(worker, pool) for worker in pool
+            }
+
+        def drained():
+            return {
+                worker.core_id: pool.node_queues_empty(worker.node_id) for worker in pool
+            }
+
+        assert all(answers().values())
+        fill(pool, 1, w, [0])        # node 0: a sibling's queue
+        fill(pool, 4, w, [1, 2])     # node 1: the worker's own queue
+        assert answers() == drained()
+        assert not any(answers()[c] for c in range(8))
+        assert all(answers()[c] for c in range(8, 16))
+        strict.acquire(pool.worker_for_core(0), pool, rng, params, OverheadLedger())
+        assert answers() == drained()
+        assert all(answers()[c] for c in range(4))
+        pool.worker_for_core(4).queue.pop_own()
+        assert not answers()[5]
+        pool.worker_for_core(4).queue.pop_own()
+        assert all(answers().values())
+
+    def test_exhausted_acquire_draws_and_charges_nothing(
+        self, small, small_ctx, params, rng
+    ):
+        w = make_work(small_ctx)
+        pool = WorkerPool(small, list(range(16)))
+        fill(pool, 15, w, [0, 1])  # work on node 3 only
+        strict = HierarchicalStealPolicy(allow_inter_node=False)
+        thief = pool.worker_for_core(0)
+        assert strict.exhausted(thief, pool)
+        twin = copy.deepcopy(rng)
+        ledger = OverheadLedger()
+        assert strict.acquire(thief, pool, rng, params, ledger) is None
+        assert rng.integers(1 << 62) == twin.integers(1 << 62)
+        assert ledger == OverheadLedger()
+
+    @pytest.mark.parametrize(
+        "policy",
+        [RandomStealPolicy(), HierarchicalStealPolicy(allow_inter_node=True), NoStealPolicy()],
+        ids=["random", "full", "none"],
+    )
+    def test_other_policies_never_exhausted(self, small, small_ctx, policy):
+        w = make_work(small_ctx)
+        pool = WorkerPool(small, list(range(16)))
+        assert not any(policy.exhausted(worker, pool) for worker in pool)
+        fill(pool, 15, w, [0], strict={0})
+        assert not any(policy.exhausted(worker, pool) for worker in pool)

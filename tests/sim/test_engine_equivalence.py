@@ -18,6 +18,8 @@ anywhere: a single flipped mantissa bit anywhere in a run fails.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from repro.runtime.context import RunContext
 from repro.runtime.reference import ReferenceRuntime
 from repro.runtime.runtime import OpenMPRuntime
 from repro.runtime.schedulers import create_scheduler
+from repro.sim import incremental
 from repro.topology.machine import GIB, MIB, MachineTopology
 from repro.topology.presets import (
     dual_socket_small,
@@ -161,6 +164,108 @@ def test_slowdown_cache_matches_reference_model(preset, ops):
         assert s_inc.tobytes() == s_ref.tobytes()
         assert sat_inc.tobytes() == sat_ref.tobytes()
         assert inc.saturation_scalars() == (float(sat_ref.mean()), float(sat_ref.max()))
+
+
+def _calm_weights(nodes: int, node: int, split: float) -> np.ndarray:
+    weights = np.zeros(nodes)
+    weights[node % nodes] = 1.0 - split
+    weights[(node + 1) % nodes] += split
+    return weights
+
+
+@pytest.mark.parametrize("rows_exact", [True, False], ids=["logged-rows", "probe-false"])
+@settings(max_examples=40, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(PRESETS)),
+    calm=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(0, 63),
+                st.floats(0.0, 0.05),
+                st.sampled_from([0.0, 0.8, 2.5]),
+                st.integers(0, 7),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        min_size=4,
+        max_size=16,
+    ),
+    burst_at=st.integers(1, 3),
+    hot_node=st.integers(0, 7),
+)
+def test_unsaturated_refreshes_match_reference_model(rows_exact, preset, calm, burst_at, hot_node):
+    """Demand stays unsaturated over refreshes that each start or finish
+    one or two cores (so an unsaturated refresh follows an unsaturated one
+    and rewrites only the logged rows), then crosses into saturation and
+    back: at every refresh the cached slowdowns and saturation equal the
+    reference model's bit for bit.  With the row-reduce probe forced
+    false, the same sequence runs on the every-row pass."""
+    with mock.patch.object(
+        incremental,
+        "_row_reduce_matches_axis_reduce",
+        incremental._row_reduce_matches_axis_reduce if rows_exact else lambda rows, cols: False,
+    ):
+        ctx = RunContext.create(PRESETS[preset](), seed=0)
+    states, model, inc = ctx.states, ctx.interference, ctx.incremental
+    cores, nodes = states.num_cores, states.num_nodes
+    saturated = []
+
+    def check() -> None:
+        s_ref, sat_ref = model.slowdowns_and_saturation(states)
+        s_inc, sat_inc = inc.slowdowns_and_saturation()
+        assert s_inc.tobytes() == s_ref.tobytes()
+        assert sat_inc.tobytes() == sat_ref.tobytes()
+        saturated.append(bool(sat_ref.max() > 1.0))
+
+    def flip(core, mem_frac, gamma, node, split) -> None:
+        if states.active[core]:
+            states.finish(core)
+        else:
+            states.start(core, body=1.0, overhead=0.0, mem_frac=mem_frac, gamma=gamma,
+                         weights=_calm_weights(nodes, node, split), payload=None)
+
+    for i, changes in enumerate(calm):
+        if i == burst_at:
+            # one memory-bound core after another on one node until it
+            # saturates, then each one retired in turn
+            hot = []
+            for core in range(cores):
+                if saturated[-1]:
+                    break
+                if states.active[core]:
+                    states.finish(core)
+                states.start(core, body=1.0, overhead=0.0, mem_frac=1.0, gamma=0.8,
+                             weights=_calm_weights(nodes, hot_node, 0.0), payload=None)
+                hot.append(core)
+                check()
+            assert saturated[-1]
+            for core in hot:
+                states.finish(core)
+                check()
+        for core, mem_frac, gamma, node, split in changes:
+            flip(core % cores, mem_frac, gamma, node, split)
+        check()
+    # the unsaturated-after-unsaturated refresh ran, and so did saturation
+    assert any(not a and not b for a, b in zip(saturated, saturated[1:]))
+    assert any(saturated)
+
+
+def test_numpy_probes_run_once_per_shape():
+    """Both reduction probes depend on numpy and the matrix shape only:
+    each runs once per shape in a process, not once per run."""
+    probes = (
+        incremental._padded_sum_matches_compacted,
+        incremental._row_reduce_matches_axis_reduce,
+    )
+    for probe in probes:
+        probe.cache_clear()
+    for topology in (tiny_two_node(), dual_socket_small(), tiny_two_node(), dual_socket_small()):
+        RunContext.create(topology, seed=0)
+    for probe in probes:
+        info = probe.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
 
 
 # ----------------------------------------------------------------------

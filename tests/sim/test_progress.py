@@ -140,12 +140,6 @@ class TestNoise:
         with pytest.raises(SimulationError):
             states.set_noise(np.ones(3))
 
-    def test_idle_cores_helper(self, states):
-        start_simple(states, 1)
-        eligible = np.array([True, True, True, False])
-        assert states.idle_cores(eligible) == [0, 2]
-        assert states.idle_cores() == [0, 2, 3]
-
 
 class TestSpeedLayers:
     """The speed-mutation choke point: named multiplicative layers."""
@@ -196,6 +190,39 @@ class TestSpeedLayers:
     def test_speed_div_aliases_speed_when_all_online(self, states):
         states.set_speed_layer("a", np.full(4, 0.5))
         assert states.speed_div is states.speed
+
+
+class TestUnitSpeed:
+    """``unit_speed``: every core online at exactly 1.0, the condition
+    under which the executor leaves out its speed operations."""
+
+    def test_fresh_unit_machine(self, states):
+        assert states.unit_speed
+
+    def test_layer_moves_the_flag(self, states):
+        states.set_speed_layer("dvfs", np.array([1.0, 1.0, 0.5, 1.0]))
+        assert not states.unit_speed
+        states.clear_speed_layer("dvfs")
+        assert states.unit_speed
+        states.set_noise(np.array([1.0, 1.25, 1.0, 1.0]))
+        assert not states.unit_speed
+        states.set_noise(np.ones(4))
+        assert states.unit_speed
+
+    def test_offline_core_clears_the_flag(self, states):
+        states.set_online(np.array([True, True, False, True]))
+        assert not states.unit_speed
+        states.set_online(np.ones(4, dtype=bool))
+        assert states.unit_speed
+
+    def test_base_speeds_other_than_one(self):
+        states = CoreStates(3, 1, base_speed=np.array([1.0, 2.0, 1.0]))
+        assert not states.unit_speed
+        states.set_speed_layer("asym", np.ones(3))
+        assert not states.unit_speed
+        # the flag reads the composed speed: 2.0 * 0.5 is exactly 1.0
+        states.set_speed_layer("asym", np.array([1.0, 0.5, 1.0]))
+        assert states.unit_speed
 
 
 class TestOnline:
