@@ -497,12 +497,6 @@ class ResultCache:
                 pass
         self.stats.invalidated += 1
 
-    def quarantined_files(self) -> list[Path]:
-        """Every quarantined entry currently on disk (sorted)."""
-        if not self.quarantine_root.is_dir():
-            return []
-        return sorted(p for p in self.quarantine_root.iterdir() if p.is_file())
-
     # -- maintenance ----------------------------------------------------
     def keys(self) -> Iterator[str]:
         """Keys of every entry currently on disk."""

@@ -59,22 +59,6 @@ class DataRegion:
     def page_bytes(self) -> int:
         return self.pages.page_bytes
 
-    def page_span(self, lo_frac: float, hi_frac: float) -> tuple[int, int]:
-        """Page range covering the fractional span ``[lo_frac, hi_frac)``.
-
-        Non-empty for any non-empty span; adjacent spans tile the region
-        without gaps.  When the span is thinner than one page the single
-        covering page is returned, so very fine chunkings share pages —
-        which is exactly what happens physically.
-        """
-        if not (0.0 <= lo_frac < hi_frac <= 1.0 + 1e-12):
-            raise MemoryModelError(f"bad span [{lo_frac}, {hi_frac})")
-        n = self.num_pages
-        start = min(int(lo_frac * n), n - 1)
-        stop = n if hi_frac >= 1.0 else int(hi_frac * n)
-        stop = max(stop, start + 1)
-        return start, min(stop, n)
-
     def blend_last_share(self, node: int, fraction: float) -> None:
         """Fold "``fraction`` of the region was just touched by ``node``"
         into the aggregate last-touch distribution."""

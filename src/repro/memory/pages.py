@@ -37,9 +37,8 @@ class PageState:
     (the node-weight vectors of :meth:`weight_memo`) is valid exactly while
     the version stands.  Last-touch state changes on every touch, is kept
     only as the ``last`` array and is never memoised: the touch mutators
-    fill it, a commit on a region with no untouched page writes it
-    directly (``ChunkAccess.commit``), and its histogram
-    (:meth:`last_counts`) is computed on demand.
+    fill it, and a commit on a region with no untouched page writes it
+    directly (``ChunkAccess.commit``).
 
     Parameters
     ----------
@@ -203,15 +202,6 @@ class PageState:
 
     def untouched_fraction(self) -> float:
         return 1.0 - (self.num_pages - self.num_untouched) / self.num_pages
-
-    def home_counts(self) -> np.ndarray:
-        """Copy of the cached per-node home-page counts."""
-        return self._home_counts.copy()
-
-    def last_counts(self) -> np.ndarray:
-        """Per-node last-touch page counts, counted from ``last``."""
-        visited = self.last[self.last != UNTOUCHED]
-        return np.bincount(visited, minlength=self.num_nodes)
 
     # ------------------------------------------------------------------
     def _check_range(self, start: int, stop: int) -> None:

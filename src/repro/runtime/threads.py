@@ -86,12 +86,6 @@ class WorkerPool:
     def __iter__(self):
         return iter(self.workers)
 
-    def core_ids(self) -> list[int]:
-        return [w.core_id for w in self.workers]
-
-    def node_ids(self) -> list[int]:
-        return sorted(self.by_node)
-
     def worker_for_core(self, core_id: int) -> Worker:
         try:
             return self.by_core[core_id]

@@ -328,7 +328,7 @@ class TestResultCache:
         assert tmp_cache.stats.hits == 0
         assert tmp_cache.stats.quarantined == 0
         assert tmp_cache.stats.invalidated == 0
-        assert tmp_cache.quarantined_files() == []
+        assert not tmp_cache.quarantine_root.exists()
         assert path.is_dir()
 
     @pytest.mark.parametrize(
@@ -374,7 +374,7 @@ class TestQuarantine:
         assert not path.exists()
         assert tmp_cache.stats.quarantined == 1
         assert tmp_cache.stats.invalidated == 1
-        assert len(tmp_cache.quarantined_files()) == 1
+        assert len(list(tmp_cache.quarantine_root.iterdir())) == 1
 
     def test_quarantined_entry_is_recomputable(self, tmp_cache):
         """After quarantine, the slot accepts a fresh identical entry."""
@@ -388,7 +388,7 @@ class TestQuarantine:
         assert got is not None
         assert run_to_json(got) == run_to_json(run)
         # the forensic copy survives the recompute
-        assert len(tmp_cache.quarantined_files()) == 1
+        assert len(list(tmp_cache.quarantine_root.iterdir())) == 1
 
     def test_quarantine_names_never_collide(self, tmp_cache):
         key = run_key(**BASE_KEY_KWARGS)
@@ -396,7 +396,7 @@ class TestQuarantine:
             tmp_cache.put(key, synthetic_run())
             self._poison(tmp_cache, key)
             assert tmp_cache.get(key) is None
-        assert len(tmp_cache.quarantined_files()) == 3
+        assert len(list(tmp_cache.quarantine_root.iterdir())) == 3
 
     def test_quarantine_invisible_to_keys_and_len(self, tmp_cache):
         key = run_key(**BASE_KEY_KWARGS)
@@ -414,7 +414,7 @@ class TestQuarantine:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         assert tmp_cache.get(key) is None
-        assert len(tmp_cache.quarantined_files()) == 1
+        assert len(list(tmp_cache.quarantine_root.iterdir())) == 1
 
 
 def _header_variants(key: str, digest: str) -> dict[str, bytes]:
@@ -494,7 +494,8 @@ class TestHeaderFrame:
         [recomputed] = runner.run_specs([self.SPEC])
         assert run_to_json(recomputed) == run_to_json(expected)
         assert tmp_cache.stats.quarantined == 1
-        assert tmp_cache.quarantined_files()[0].read_bytes().startswith(line + b"\n")
+        [moved] = tmp_cache.quarantine_root.iterdir()
+        assert moved.read_bytes().startswith(line + b"\n")
         # the recomputed run was stored afresh and now verifies
         assert path.read_bytes().split(b"\n", 1)[0] == header
         hits = tmp_cache.stats.hits

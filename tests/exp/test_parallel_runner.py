@@ -6,13 +6,18 @@ The load-bearing claims locked down here:
 * a warm-cache rerun re-simulates **zero** runs and still produces
   byte-identical results;
 * the in-memory cell memoisation, the disk cache, and the process pool
-  compose without changing any result.
+  compose without changing any result;
+* concurrent ``run_specs`` calls look runs up in the cache one call at a
+  time, process-wide, and simulate their misses with the lookup lock free.
 """
 
 import json
+import threading
+from itertools import groupby
 
 import pytest
 
+import repro.exp.runner as runner_module
 from repro.exp.cache import ResultCache, run_to_json
 from repro.exp.figures import figure2
 from repro.exp.persistence import results_to_dict
@@ -30,6 +35,58 @@ def campaign_fingerprint(runner: Runner) -> str:
         for (bench, sched), cell in sorted(runner.cached_cells().items())
     }
     return json.dumps(parts, sort_keys=True)
+
+
+#: bound on every wait of the concurrency tests: a regression fails there
+#: instead of hanging the suite
+WAIT_S = 30.0
+
+
+class _Worker(threading.Thread):
+    """A daemon thread that keeps its target's return value or error."""
+
+    def __init__(self, target):
+        super().__init__(daemon=True)
+        self._target_fn = target
+        self.result = None
+        self.error: BaseException | None = None
+
+    def run(self):
+        try:
+            self.result = self._target_fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            self.error = exc
+
+    def finish(self):
+        self.join(WAIT_S)
+        assert not self.is_alive(), "a runner thread is still blocked"
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+class _LoggedCache(ResultCache):
+    """A cache whose ``get`` logs its tag on entry and on exit, and runs
+    ``on_get`` (if any) inside the call."""
+
+    def __init__(self, root, tag, log, on_get=None):
+        super().__init__(root, fsync=False)
+        self._tag = tag
+        self._log = log
+        self._on_get = on_get
+
+    def get(self, key):
+        self._log.append(self._tag)
+        try:
+            if self._on_get is not None:
+                self._on_get()
+            return super().get(key)
+        finally:
+            self._log.append(self._tag)
+
+
+def _texts(results):
+    return [run_to_json(r) for r in results]
 
 
 @pytest.fixture
@@ -131,6 +188,14 @@ class TestCacheIntegration:
         assert campaign_fingerprint(warm) == fingerprint
         assert warm.cache.stats.misses == 1
         assert warm.cache.stats.stores == 1
+        # the damaged entry was met inside the locked lookups, and the
+        # lock is free afterwards: a call on another thread reads them all
+        reader = make_runner(cache=ResultCache(tmp_cache.root))
+        after = _Worker(lambda: reader.cells(PAIRS))
+        after.start()
+        after.finish()
+        assert campaign_fingerprint(reader) == fingerprint
+        assert reader.cache.stats.hits == len(PAIRS) * CFG.seeds
 
 
 class TestJobsPlumbing:
@@ -162,3 +227,89 @@ class TestJobsPlumbing:
         assert runner.cache is not None
         runner.cell("matmul", "baseline")
         assert cache_dir.is_dir() and len(runner.cache) == 1
+
+
+class TestWarmReaderLock:
+    """``Runner._execute`` holds one process-wide lock across its cache
+    lookups and nothing else."""
+
+    def test_concurrent_warm_lookups_never_interleave(self, tiny, tmp_path):
+        """Two runners with their own caches over one warm directory, as a
+        fleet's in-process shards have: the second call enters
+        ``run_specs`` while the first is mid-batch, and still reads only
+        after the first call's last read."""
+        root = tmp_path / "runs"
+        warmer = Runner(CFG, topology=tiny, cache=ResultCache(root, fsync=False))
+        specs = {
+            "a": warmer.job_specs("matmul", "baseline", seeds=4),
+            "b": warmer.job_specs("cg", "ilan", seeds=4),
+        }
+        # the sequential calls warm the directory and give the reference bytes
+        expected = {tag: _texts(warmer.run_specs(s)) for tag, s in specs.items()}
+
+        log: list[str] = []
+        a_reading = threading.Event()
+        b_called = threading.Event()
+
+        def hold_first_read():
+            if not a_reading.is_set():
+                a_reading.set()
+                b_called.wait(WAIT_S)
+
+        caches = {
+            "a": _LoggedCache(root, "a", log, on_get=hold_first_read),
+            "b": _LoggedCache(root, "b", log),
+        }
+
+        def call_a():
+            return Runner(CFG, topology=tiny, cache=caches["a"]).run_specs(specs["a"])
+
+        def call_b():
+            a_reading.wait(WAIT_S)
+            return Runner(CFG, topology=tiny, cache=caches["b"]).run_specs(
+                specs["b"], fault_hook=lambda _specs: b_called.set()
+            )
+
+        workers = {"a": _Worker(call_a), "b": _Worker(call_b)}
+        for worker in workers.values():
+            worker.start()
+        got = {tag: _texts(worker.finish()) for tag, worker in workers.items()}
+        assert b_called.is_set()
+        assert [tag for tag, _ in groupby(log)] == ["a", "b"]
+        assert got == expected
+        assert caches["a"].stats.hits == caches["b"].stats.hits == 4
+
+    def test_miss_simulates_with_the_lock_free(self, tiny, tmp_path, monkeypatch):
+        """While one call is parked inside a simulation, another call's
+        warm batch completes."""
+        root = tmp_path / "runs"
+        warmer = Runner(CFG, topology=tiny, cache=ResultCache(root, fsync=False))
+        warm_specs = warmer.job_specs("matmul", "baseline", seeds=4)
+        expected = _texts(warmer.run_specs(warm_specs))
+        cold_specs = warmer.job_specs("cg", "baseline", seeds=1)
+
+        parked = threading.Event()
+        release = threading.Event()
+        simulate = runner_module.execute_spec
+
+        def parked_execute(spec, **kwargs):
+            parked.set()
+            release.wait(WAIT_S)
+            return simulate(spec, **kwargs)
+
+        monkeypatch.setattr(runner_module, "execute_spec", parked_execute)
+        cold = Runner(CFG, topology=tiny, cache=ResultCache(root, fsync=False))
+        warm = Runner(CFG, topology=tiny, cache=ResultCache(root, fsync=False))
+        cold_call = _Worker(lambda: cold.run_specs(cold_specs))
+        cold_call.start()
+        assert parked.wait(WAIT_S)
+        warm_call = _Worker(lambda: warm.run_specs(warm_specs))
+        warm_call.start()
+        try:
+            assert _texts(warm_call.finish()) == expected
+            assert cold_call.is_alive()
+        finally:
+            release.set()
+        cold_call.finish()
+        assert warm.cache.stats.hits == 4
+        assert cold.cache.stats.misses == 1 and cold.cache.stats.stores == 1

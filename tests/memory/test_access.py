@@ -97,9 +97,9 @@ class TestUniform:
 
     def test_commit_with_everything_homed_is_noop_on_homes(self, region):
         region.pages.interleave(0, 64, nodes=[0])
-        before = region.pages.home_counts()
+        before = region.pages.home.copy()
         chunk_access(region, AccessPattern.uniform(), 0.0, 0.5, 2).commit()
-        assert np.array_equal(region.pages.home_counts(), before)
+        assert np.array_equal(region.pages.home, before)
 
 
 class TestStrided:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MemoryModelError
+from repro.memory.access import AccessPattern, chunk_access
 from repro.memory.allocator import AllocPolicy, MemoryMap
 from repro.memory.pages import UNTOUCHED
 
@@ -84,25 +85,26 @@ class TestMemoryMap:
 
 
 class TestRegion:
+    """A blocked chunk's page span, as ``chunk_access`` resolves it and
+    its commit first-touches it."""
+
     def test_page_span_tiles_without_gaps(self, mm):
         r = mm.allocate("a", 64 * 1024, min_pages=1)  # 64 pages
-        spans = [r.page_span(i / 7, (i + 1) / 7) for i in range(7)]
-        assert spans[0][0] == 0
-        assert spans[-1][1] == 64
-        for (a, b), (c, d) in zip(spans, spans[1:]):
-            assert b >= c  # no gaps (thin spans may share a boundary page)
+        for i in range(7):
+            chunk_access(r, AccessPattern.blocked(), i / 7, (i + 1) / 7, i % 4).commit()
+        assert r.pages.num_untouched == 0
 
     def test_page_span_never_empty(self, mm):
         r = mm.allocate("a", 8 * 1024, min_pages=1)
-        lo, hi = r.page_span(0.999, 1.0)
-        assert hi > lo
+        chunk_access(r, AccessPattern.blocked(), 0.999, 1.0, 2).commit()
+        assert list(r.pages.home) == [UNTOUCHED] * 7 + [2]
 
     def test_page_span_bad_args(self, mm):
         r = mm.allocate("a", 8 * 1024)
         with pytest.raises(MemoryModelError):
-            r.page_span(0.5, 0.5)
+            chunk_access(r, AccessPattern.blocked(), 0.5, 0.5, 0)
         with pytest.raises(MemoryModelError):
-            r.page_span(-0.1, 0.5)
+            chunk_access(r, AccessPattern.blocked(), -0.1, 0.5, 0)
 
     def test_blend_last_share(self, mm):
         r = mm.allocate("a", 8 * 1024)

@@ -37,10 +37,11 @@ class TestFirstTouch:
         assert np.all(ps.last[0:4] == 1)
 
     def test_home_counts_cache(self, ps):
+        """The cached per-node histogram behind the region-wide weights."""
         ps.first_touch(0, 4, node=1)
         ps.first_touch(4, 6, node=2)
-        counts = ps.home_counts()
-        assert counts[1] == 4 and counts[2] == 2 and counts.sum() == 6
+        assert list(ps.region_home_weights()) == [0.0, 4 / 6, 2 / 6, 0.0]
+        assert ps.untouched_fraction() == 10 / 16
 
 
 class TestBindInterleave:
@@ -48,8 +49,7 @@ class TestBindInterleave:
         ps.first_touch(0, 8, node=0)
         ps.bind(0, 8, node=3)
         assert np.all(ps.home[0:8] == 3)
-        assert ps.home_counts()[3] == 8
-        assert ps.home_counts()[0] == 0
+        assert list(ps.region_home_weights()) == [0.0, 0.0, 0.0, 1.0]
 
     def test_interleave_round_robin(self, ps):
         ps.interleave(0, 8, nodes=[0, 1])
@@ -61,7 +61,7 @@ class TestBindInterleave:
 
     def test_interleave_counts(self, ps):
         ps.interleave(0, 6, nodes=[2, 3])
-        assert ps.home_counts()[2] == 3 and ps.home_counts()[3] == 3
+        assert list(ps.region_home_weights()) == [0.0, 0.0, 0.5, 0.5]
 
 
 class TestTouch:
@@ -78,8 +78,7 @@ class TestTouch:
     def test_last_counts_consistent_after_overwrites(self, ps):
         ps.first_touch(0, 8, node=0)
         ps.first_touch(4, 12, node=1)
-        assert np.array_equal(ps.last_counts(), [4, 8, 0, 0])
-        assert ps.last[12] == UNTOUCHED
+        assert list(ps.last) == [0] * 4 + [1] * 8 + [UNTOUCHED] * 4
 
 
 class TestQueries:

@@ -50,7 +50,7 @@ def test_any_single_byte_flip_is_quarantined_never_served(
 
     assert cache.get(key) is None           # never served
     assert not path.exists()                # moved aside...
-    assert len(cache.quarantined_files()) == 1  # ...into quarantine
+    assert len(list(cache.quarantine_root.iterdir())) == 1  # ...into quarantine
     assert cache.stats.quarantined == 1
 
     # and the slot heals: an honest recompute round-trips
@@ -73,7 +73,7 @@ def test_truncation_at_any_point_is_quarantined(entry_bytes, tmp_path, cut):
     path.write_bytes(raw[: cut % len(raw)])  # strictly shorter than raw
 
     assert cache.get(key) is None
-    assert len(cache.quarantined_files()) == 1
+    assert len(list(cache.quarantine_root.iterdir())) == 1
 
 
 @given(junk=st.binary(min_size=0, max_size=200))

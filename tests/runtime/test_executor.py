@@ -86,26 +86,12 @@ class TestBasicExecution:
         floor = p.task_create * 8 + p.barrier_cost(4)
         assert result.elapsed > floor
 
-    def test_deadlock_detected(self, tiny_ctx):
-        """Strict chunks homed on a node with no workers can never run."""
+    def test_queue_outside_pool_rejected(self, tiny_ctx):
+        """A plan that queues chunks on a core outside its worker pool is
+        rejected before it runs (the executor's deadlock path is
+        ``TestDrainedCores::test_deadlock_with_retired_cores``)."""
         work = make_work(tiny_ctx, num_tasks=4)
         chunks = partition(work)
-        for c in chunks:
-            c.strict = True
-            c.home_node = 1
-        plan = TaskloopPlan(
-            worker_cores=[0, 1],  # node 0 only
-            initial_queues={0: chunks, 1: []},
-            policy=NoStealPolicy(),
-            owner_lifo=False,
-            num_threads=2,
-            node_mask_bits=0b01,
-            steal_mode="strict",
-        )
-        # chunks sit on core 0's queue, so they do execute (owner runs them);
-        # to force the deadlock put them on core 1's queue... they'd still
-        # run. True deadlock needs an empty-queue worker set: queue them on
-        # a core not in the pool -> plan validation catches that instead.
         with pytest.raises(ConfigurationError):
             TaskloopPlan(
                 worker_cores=[0, 1],

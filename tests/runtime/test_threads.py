@@ -17,12 +17,12 @@ class TestPoolConstruction:
     def test_full_machine(self, small):
         pool = WorkerPool(small, list(range(16)))
         assert len(pool) == 16
-        assert pool.core_ids() == list(range(16))
-        assert pool.node_ids() == [0, 1, 2, 3]
+        assert [w.core_id for w in pool.workers] == list(range(16))
+        assert sorted(pool.by_node) == [0, 1, 2, 3]
 
     def test_partial_pool(self, small):
         pool = WorkerPool(small, [0, 1, 4, 5])
-        assert pool.node_ids() == [0, 1]
+        assert sorted(pool.by_node) == [0, 1]
         assert len(pool.by_node[0]) == 2
         assert 3 not in pool.by_node
 
