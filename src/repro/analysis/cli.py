@@ -7,12 +7,8 @@ Exit-code contract (relied on by CI and pre-commit):
   ``# repro: noqa RULE -- why`` is the only way to accept one;
 * ``2`` — usage or I/O error (unknown rule id or flag, missing path).
 
-Every run is the two-pass run: the per-file rules, then the
-whole-program rules over the assembled project index.  Pass 1 goes
-through a content-hash cache (on unless ``--no-cache``; ``--cache-dir``
-only relocates it), so a warm run re-parses only files whose bytes
-changed (``files_parsed`` in the JSON/text stats is the cache-miss count
-CI asserts on).
+Every run parses each file once, runs the selected rules on it and
+writes nothing to disk.
 """
 
 from __future__ import annotations
@@ -20,26 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Sequence, TextIO
 
-from repro.analysis.cache import (
-    CACHE_DIR_DEFAULT,
-    AnalysisCache,
-    analyzer_fingerprint,
-)
-from repro.analysis.rules import (
-    ALL_RULES,
-    PROJECT_RULES,
-    select_project_rules,
-    select_rules,
-)
-from repro.analysis.run import analyze_project_paths
+from repro.analysis.engine import analyze_paths
+from repro.analysis.rules import ALL_RULES, select_rules
 from repro.analysis.sarif import to_sarif
 
 __all__ = ["main", "build_parser"]
 
-OUTPUT_SCHEMA_VERSION = 4
+OUTPUT_SCHEMA_VERSION = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,8 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Static determinism & concurrency sanitizer: enforces the "
             "repo's replay invariants (seeded RNG flow, no wall-clock in "
             "the simulator, no float == on sim time, async/lock/wire "
-            "hygiene) as AST checks, plus the whole-program pass "
-            "(lock-order cycles, seed-taint flow, wire-schema drift)."
+            "hygiene) as per-file AST checks."
         ),
     )
     parser.add_argument(
@@ -75,14 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--cache-dir", default=CACHE_DIR_DEFAULT, metavar="DIR",
-        help=f"per-file analysis cache location (default: {CACHE_DIR_DEFAULT})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-hash cache for this run",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
@@ -98,11 +74,6 @@ def _list_rules(out: TextIO) -> None:
         )
         out.write(f"{rule.id}  [{scope}]  {rule.title}\n")
         out.write(f"        {rule.rationale}\n")
-    for project_rule in PROJECT_RULES:
-        out.write(
-            f"{project_rule.id}  [whole-program]  {project_rule.title}\n"
-        )
-        out.write(f"        {project_rule.rationale}\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -116,22 +87,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         rules = select_rules(args.select, args.ignore)
-        project_rules = select_project_rules(args.select, args.ignore)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cache = None
-    if not args.no_cache:
-        fingerprint = analyzer_fingerprint(
-            sorted({r.id for r in rules} | {r.id for r in project_rules})
-        )
-        cache = AnalysisCache(Path(args.cache_dir), fingerprint)
-
     try:
-        result = analyze_project_paths(
-            args.paths, rules, project_rules, cache=cache
-        )
+        result = analyze_paths(args.paths, rules)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -141,25 +102,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload = {
             "version": OUTPUT_SCHEMA_VERSION,
             "files_scanned": result.files_scanned,
-            "files_parsed": result.files_parsed,
-            "files_cached": result.files_cached,
             "findings": [f.to_json() for f in findings],
             "strict": bool(args.strict),
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "sarif":
-        out.write(
-            json.dumps(to_sarif(findings, rules, project_rules), indent=2)
-            + "\n"
-        )
+        out.write(json.dumps(to_sarif(findings, rules), indent=2) + "\n")
     else:
         for finding in findings:
             out.write(finding.render() + "\n")
         status = "ok" if not findings else f"{len(findings)} finding(s)"
-        out.write(
-            f"{status}: {result.files_scanned} file(s) scanned "
-            f"({result.files_parsed} parsed, {result.files_cached} "
-            "cached)\n"
-        )
+        out.write(f"{status}: {result.files_scanned} file(s) scanned\n")
 
     return 1 if args.strict and findings else 0

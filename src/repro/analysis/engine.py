@@ -17,31 +17,19 @@ import ast
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    ClassVar,
-    Iterable,
-    Iterator,
-    Sequence,
-)
+from typing import Any, ClassVar, Iterable, Iterator, Sequence
 
 from repro.analysis.suppress import line_suppressions
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.project import ProjectIndex
 
 __all__ = [
     "Finding",
     "Module",
     "Rule",
-    "ProjectRule",
+    "ScanResult",
+    "analyze_paths",
     "analyze_source",
     "decode_source",
     "iter_python_files",
-    "parse_module",
-    "repro_package_of",
-    "run_file_rules",
     "PARSE_RULE_ID",
 ]
 
@@ -52,31 +40,9 @@ __all__ = [
 PARSE_RULE_ID = "PARSE000"
 
 #: Directory names never descended into, on top of hidden directories
-#: (leading ``.``, which already covers ``.repro-analysis-cache``):
-#: bytecode caches and the run-cache quarantine (forensic copies of
-#: corrupt entries — not source code).
-SKIP_DIR_NAMES = frozenset({
-    "__pycache__", "quarantine", ".repro-analysis-cache",
-})
-
-
-def repro_package_of(path: str) -> tuple[str, ...] | None:
-    """Path components below the ``repro`` package, or ``None``.
-
-    Path-only (no parse needed), so the project driver can still scope a
-    file that failed to parse.
-    """
-    parts = PurePosixPath(path).parts
-    if "repro" not in parts:
-        return None
-    idx = parts.index("repro")
-    tail = parts[idx + 1 :]
-    if not tail:
-        return None
-    last = tail[-1]
-    if last.endswith(".py"):
-        tail = tail[:-1] + (last[:-3],)
-    return tail
+#: (leading ``.``): bytecode caches and the run-cache quarantine (forensic
+#: copies of corrupt entries — not source code).
+SKIP_DIR_NAMES = frozenset({"__pycache__", "quarantine"})
 
 
 @dataclass(frozen=True, order=True)
@@ -120,7 +86,16 @@ class Module:
         ``src/repro/sim/rng.py`` → ``("sim", "rng")``; a file outside the
         ``repro`` tree (tests, scripts) → ``None``.
         """
-        return repro_package_of(self.path)
+        parts = PurePosixPath(self.path).parts
+        if "repro" not in parts:
+            return None
+        tail = parts[parts.index("repro") + 1 :]
+        if not tail:
+            return None
+        last = tail[-1]
+        if last.endswith(".py"):
+            tail = tail[:-1] + (last[:-3],)
+        return tail
 
     def in_packages(self, packages: Iterable[str]) -> bool:
         """Whether this module lives under any ``repro.<package>``.
@@ -236,33 +211,6 @@ class Rule(ABC):
         )
 
 
-class ProjectRule(ABC):
-    """One *whole-program* invariant check (pass 2).
-
-    Unlike :class:`Rule`, which sees one module's AST, a ProjectRule
-    sees the :class:`~repro.analysis.project.ProjectIndex` — every
-    module's summary plus the cross-module registries — and reports
-    findings line-anchored at a concrete witness site, so per-line
-    suppressions work identically for both passes.
-    """
-
-    id: ClassVar[str]
-    title: ClassVar[str]
-    rationale: ClassVar[str]
-
-    @abstractmethod
-    def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
-        """Yield every violation across the project (suppressions are
-        applied by the driver, per witness line)."""
-
-    def finding_at(
-        self, path: str, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            path=path, line=line, col=col, rule=self.id, message=message
-        )
-
-
 # ----------------------------------------------------------------------
 # driving
 # ----------------------------------------------------------------------
@@ -273,38 +221,38 @@ def decode_source(data: bytes) -> str:
     return data.decode("utf-8-sig", errors="replace")
 
 
-def parse_module(path: str, source: str) -> tuple[Module | None, Finding | None]:
-    """Parse one source file; on failure return a PARSE000 diagnostic.
+def analyze_source(
+    path: str, source: str, rules: Sequence[Rule]
+) -> list[Finding]:
+    """All unsuppressed findings for one in-memory source file.
 
+    ``path`` also carries the scoping information (which rules apply), so
+    tests can exercise package-scoped rules on virtual paths like
+    ``src/repro/sim/fixture.py`` without touching the real tree.
+
+    A file that does not parse yields one PARSE000 diagnostic instead:
     ``ast.parse`` raises ``SyntaxError`` for malformed code and
-    ``ValueError`` for e.g. null bytes; both become findings so a broken
-    file fails the strict run with a location instead of killing it.
+    ``ValueError`` for e.g. null bytes, and a broken file must fail the
+    strict run with a location instead of killing it.
     """
     posix = PurePosixPath(path).as_posix()
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return None, Finding(
+        return [Finding(
             path=posix,
             line=exc.lineno or 1,
             col=(exc.offset or 1) - 1,
             rule=PARSE_RULE_ID,
             message=f"file does not parse: {exc.msg}",
-        )
+        )]
     except ValueError as exc:
-        return None, Finding(
+        return [Finding(
             path=posix, line=1, col=0, rule=PARSE_RULE_ID,
             message=f"file does not parse: {exc}",
-        )
-    return Module(path, source, tree), None
-
-
-def run_file_rules(
-    mod: Module,
-    rules: Sequence[Rule],
-    suppressed: dict[int, frozenset[str]],
-) -> list[Finding]:
-    """All unsuppressed per-file findings for one parsed module."""
+        )]
+    mod = Module(path, source, tree)
+    suppressed = line_suppressions(mod.lines)
     findings: set[Finding] = set()
     for rule in rules:
         if not rule.applies(mod):
@@ -319,28 +267,44 @@ def run_file_rules(
     return sorted(findings)
 
 
-def analyze_source(
-    path: str, source: str, rules: Sequence[Rule]
-) -> list[Finding]:
-    """All unsuppressed findings for one in-memory source file.
+@dataclass(frozen=True)
+class ScanResult:
+    """Findings plus the file count the CLI reports."""
 
-    ``path`` also carries the scoping information (which rules apply), so
-    tests can exercise package-scoped rules on virtual paths like
-    ``src/repro/sim/fixture.py`` without touching the real tree.
+    findings: list[Finding]
+    files_scanned: int
+
+
+def analyze_paths(
+    paths: Sequence[str | Path], rules: Sequence[Rule]
+) -> ScanResult:
+    """All unsuppressed findings for files and trees on disk.
+
+    A file that cannot be read is a PARSE000 finding like one that does
+    not parse; a path that does not exist raises ``FileNotFoundError``.
     """
-    mod, parse_failure = parse_module(path, source)
-    if mod is None:
-        assert parse_failure is not None
-        return [parse_failure]
-    return run_file_rules(mod, rules, line_suppressions(mod.lines))
+    files = list(iter_python_files(paths))
+    findings: list[Finding] = []
+    for file in files:
+        path = file.as_posix()
+        try:
+            data = file.read_bytes()
+        except OSError as exc:
+            findings.append(Finding(
+                path=path, line=1, col=0, rule=PARSE_RULE_ID,
+                message=f"file cannot be read: {exc}",
+            ))
+            continue
+        findings.extend(analyze_source(path, decode_source(data), rules))
+    return ScanResult(findings=sorted(findings), files_scanned=len(files))
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
     """Every ``*.py`` under the given files/directories, sorted.
 
-    Skips hidden directories (including ``.repro-analysis-cache/``),
-    ``__pycache__`` and run-cache ``quarantine/`` directories.  A file
-    passed *explicitly* is analyzed even if it sits in one of them.
+    Skips hidden directories, ``__pycache__`` and run-cache
+    ``quarantine/`` directories.  A file passed *explicitly* is analyzed
+    even if it sits in one of them.
     """
     seen: set[Path] = set()
     for raw in paths:

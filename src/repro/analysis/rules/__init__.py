@@ -1,13 +1,8 @@
-"""Rule registry: every shipped invariant check, in catalog order.
-
-Two registries: ``ALL_RULES`` (per-file pass) and ``PROJECT_RULES``
-(whole-program pass).  ``--select`` / ``--ignore`` address both with one
-id namespace.
-"""
+"""Rule registry: every shipped invariant check, in catalog order."""
 
 from __future__ import annotations
 
-from repro.analysis.engine import ProjectRule, Rule
+from repro.analysis.engine import Rule
 from repro.analysis.rules.concurrency import (
     Asy001BlockingInAsync,
     Lock001InconsistentLocking,
@@ -17,21 +12,15 @@ from repro.analysis.rules.determinism import (
     Det002AmbientRng,
     Det003TimeEquality,
     Seed001SeedlessEntryPoint,
+    Seed002DroppedSeed,
 )
 from repro.analysis.rules.exceptions import Exc001ExceptionHygiene
 from repro.analysis.rules.io import Io001DurableWrites
-from repro.analysis.rules.lockorder import Lock002LockOrderCycle
-from repro.analysis.rules.seedflow import Seed002DroppedSeed
 from repro.analysis.rules.wire import Wire001JsonSafeFields
-from repro.analysis.rules.wiredrift import Wire002SchemaDrift
 
 __all__ = [
     "ALL_RULES",
-    "PROJECT_RULES",
-    "all_rule_ids",
-    "project_rules_by_id",
     "rules_by_id",
-    "select_project_rules",
     "select_rules",
 ]
 
@@ -46,27 +35,12 @@ ALL_RULES: tuple[Rule, ...] = (
     Wire001JsonSafeFields(),
     Exc001ExceptionHygiene(),
     Seed001SeedlessEntryPoint(),
-)
-
-#: Whole-program rules, catalog order.
-PROJECT_RULES: tuple[ProjectRule, ...] = (
-    Lock002LockOrderCycle(),
     Seed002DroppedSeed(),
-    Wire002SchemaDrift(),
 )
 
 
 def rules_by_id() -> dict[str, Rule]:
     return {rule.id: rule for rule in ALL_RULES}
-
-
-def project_rules_by_id() -> dict[str, ProjectRule]:
-    return {rule.id: rule for rule in PROJECT_RULES}
-
-
-def all_rule_ids() -> set[str]:
-    """Every known rule id across both passes."""
-    return set(rules_by_id()) | set(project_rules_by_id())
 
 
 def _parse_spec(spec: str | None, known: set[str]) -> set[str]:
@@ -84,24 +58,12 @@ def _parse_spec(spec: str | None, known: set[str]) -> set[str]:
 def select_rules(
     select: str | None = None, ignore: str | None = None
 ) -> tuple[Rule, ...]:
-    """The per-file rule set after ``--select`` / ``--ignore`` filtering.
+    """The rule set after ``--select`` / ``--ignore`` filtering.
 
     Both take comma-separated rule ids; unknown ids raise ``ValueError``
-    so typos fail loudly instead of silently checking nothing.  Project
-    rule ids are accepted (they select nothing here — the project pass
-    filters with :func:`select_project_rules`).
+    so typos fail loudly instead of silently checking nothing.
     """
-    known = all_rule_ids()
+    known = set(rules_by_id())
     selected = _parse_spec(select, known) or known
     selected -= _parse_spec(ignore, known)
     return tuple(rule for rule in ALL_RULES if rule.id in selected)
-
-
-def select_project_rules(
-    select: str | None = None, ignore: str | None = None
-) -> tuple[ProjectRule, ...]:
-    """Same filtering for the whole-program pass."""
-    known = all_rule_ids()
-    selected = _parse_spec(select, known) or known
-    selected -= _parse_spec(ignore, known)
-    return tuple(rule for rule in PROJECT_RULES if rule.id in selected)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from repro.analysis.engine import Finding, Module, Rule
 
 __all__ = ["Det001WallClock", "Det002AmbientRng", "Det003TimeEquality",
-           "Seed001SeedlessEntryPoint"]
+           "Seed001SeedlessEntryPoint", "Seed002DroppedSeed"]
 
 #: Packages whose behaviour must be a pure function of (inputs, seed):
 #: every package that feeds a simulated run (the simulator core,
@@ -28,8 +28,9 @@ DETERMINISTIC_PACKAGES = ("sim", "core", "runtime", "exp", "interference",
                           "memory", "workloads", "topology", "counters",
                           "energy", "serve.federation")
 
-#: DET002/SEED001 additionally cover the serving layer: its *wall time* is
-#: real (latency measurement), but its randomness must still replay.
+#: DET002/SEED001/SEED002 additionally cover the serving layer: its *wall
+#: time* is real (latency measurement), but its randomness must still
+#: replay.
 SEEDED_PACKAGES = DETERMINISTIC_PACKAGES + ("serve",)
 
 
@@ -231,6 +232,18 @@ _RNG_CONSTRUCTORS = frozenset({
 _SEED_PARAM = re.compile(r"^(seed|seeds|rng|random_state|.*_seed|.*_rng)$")
 
 
+def _arg_names(args: ast.arguments) -> set[str]:
+    """Every name a signature binds, ``*args``/``**kwargs`` included."""
+    return {
+        a.arg
+        for a in (
+            *args.posonlyargs, *args.args, *args.kwonlyargs,
+            *((args.vararg,) if args.vararg else ()),
+            *((args.kwarg,) if args.kwarg else ()),
+        )
+    }
+
+
 class Seed001SeedlessEntryPoint(Rule):
     id: ClassVar[str] = "SEED001"
     title: ClassVar[str] = "public entry point draws hidden randomness"
@@ -252,14 +265,7 @@ class Seed001SeedlessEntryPoint(Rule):
     def _check_function(
         self, mod: Module, fn: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterator[Finding]:
-        params = {
-            a.arg
-            for a in (
-                *fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs,
-                *((fn.args.vararg,) if fn.args.vararg else ()),
-                *((fn.args.kwarg,) if fn.args.kwarg else ()),
-            )
-        }
+        params = _arg_names(fn.args)
         has_seed_param = any(_SEED_PARAM.match(p) for p in params)
         injectable = params | {"self", "cls"}
         for node in self._walk_own_body(fn):
@@ -297,3 +303,125 @@ class Seed001SeedlessEntryPoint(Rule):
                 continue
             yield node
             stack.extend(ast.iter_child_nodes(node))
+
+
+# ----------------------------------------------------------------------
+# SEED002 — an accepted seed must be read
+# ----------------------------------------------------------------------
+def _is_abstract(mod: Module, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    return any(
+        mod.qualified_name(deco.func if isinstance(deco, ast.Call) else deco)
+        in ("abc.abstractmethod", "abstractmethod")
+        for deco in fn.decorator_list
+    )
+
+
+def _is_trivial(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Docstring / ``pass`` / ``...`` / ``raise`` only: an interface stub,
+    not an implementation that drops its inputs."""
+    return all(
+        isinstance(stmt, (ast.Pass, ast.Raise))
+        or (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+        for stmt in fn.body
+    )
+
+
+def _binds(scope: ast.AST, name: str) -> bool:
+    """Whether a nested def or lambda rebinds ``name`` (as a parameter of
+    any function inside it, or by assignment anywhere in it)."""
+    for sub in ast.walk(scope):
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if name in _arg_names(sub.args):
+                return True
+        elif (
+            isinstance(sub, ast.Name)
+            and sub.id == name
+            and not isinstance(sub.ctx, ast.Load)
+        ):
+            return True
+    return False
+
+
+def _reads(nodes: Iterable[ast.AST], name: str) -> bool:
+    """Whether ``nodes`` load ``name`` from the enclosing scope.
+
+    A closure that reads it counts; a nested def or lambda that rebinds
+    it reads its own binding, not the enclosing one.
+    """
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            if node.id == name and isinstance(node.ctx, ast.Load):
+                return True
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ) and _binds(node, name):
+            continue
+        elif _reads(ast.iter_child_nodes(node), name):
+            return True
+    return False
+
+
+def _overrides(
+    classes: dict[str, ast.ClassDef], cls: ast.ClassDef, method: str
+) -> bool:
+    """Whether a base of ``cls`` defined in this module (directly or
+    through its own same-module bases) declares ``method``."""
+    seen: set[str] = set()
+    stack = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+    while stack:
+        name = stack.pop()
+        base = classes.get(name)
+        if base is None or name in seen:
+            continue
+        seen.add(name)
+        if any(
+            isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and n.name == method
+            for n in base.body
+        ):
+            return True
+        stack.extend(b.id for b in base.bases if isinstance(b, ast.Name))
+    return False
+
+
+class Seed002DroppedSeed(Rule):
+    id: ClassVar[str] = "SEED002"
+    title: ClassVar[str] = "seed parameter accepted but dropped"
+    rationale: ClassVar[str] = (
+        "a function that takes seed/rng and never reads it advertises "
+        "replayability it does not have; runs differ between invocations "
+        "while the caller pins the seed."
+    )
+    packages: ClassVar[tuple[str, ...] | None] = SEEDED_PACKAGES
+
+    def check(self, mod: Module) -> Iterator[Finding]:
+        all_classes = [
+            node for node in ast.walk(mod.tree) if isinstance(node, ast.ClassDef)
+        ]
+        classes = {cls.name: cls for cls in all_classes}
+        owner: dict[ast.FunctionDef | ast.AsyncFunctionDef, ast.ClassDef] = {
+            fn: cls
+            for cls in all_classes
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for fn in ast.walk(mod.tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if _is_abstract(mod, fn) or _is_trivial(fn):
+                continue
+            cls = owner.get(fn)
+            # an override's signature is its base's contract: a no-op
+            # implementation legitimately ignores the rng it must accept
+            if cls is not None and _overrides(classes, cls, fn.name):
+                continue
+            name = fn.name if cls is None else f"{cls.name}.{fn.name}"
+            args = fn.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+                if _SEED_PARAM.match(arg.arg) and not _reads(fn.body, arg.arg):
+                    yield self.finding(
+                        mod, fn,
+                        f"`{name}` accepts seed parameter `{arg.arg}` but "
+                        "never reads it — the caller's seed is silently "
+                        "ignored",
+                    )

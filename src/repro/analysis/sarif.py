@@ -1,17 +1,16 @@
 """SARIF 2.1.0 serialization of analysis findings.
 
-One run, one driver, every shipped rule (both passes) in the rule
-catalog, findings as ``results`` with physical locations.  SARIF columns
-are 1-based; :class:`~repro.analysis.engine.Finding.col` is 0-based, so
-the region converts.  The output is what CI uploads as the code-scanning
-artifact.
+One run, one driver, every selected rule in the rule catalog, findings
+as ``results`` with physical locations.  SARIF columns are 1-based;
+:class:`~repro.analysis.engine.Finding.col` is 0-based, so the region
+converts.  The output is what CI uploads as the code-scanning artifact.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.analysis.engine import Finding, ProjectRule, Rule
+from repro.analysis.engine import Finding, Rule
 
 __all__ = ["SARIF_SCHEMA", "SARIF_VERSION", "to_sarif"]
 
@@ -19,7 +18,7 @@ SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 
-def _rule_entry(rule: Rule | ProjectRule) -> dict[str, Any]:
+def _rule_entry(rule: Rule) -> dict[str, Any]:
     return {
         "id": rule.id,
         "shortDescription": {"text": rule.title},
@@ -28,9 +27,7 @@ def _rule_entry(rule: Rule | ProjectRule) -> dict[str, Any]:
 
 
 def to_sarif(
-    findings: Sequence[Finding],
-    rules: Sequence[Rule],
-    project_rules: Sequence[ProjectRule] = (),
+    findings: Sequence[Finding], rules: Sequence[Rule]
 ) -> dict[str, Any]:
     """The findings as one SARIF log dict (``json.dump``-ready)."""
     results = [
@@ -52,8 +49,6 @@ def to_sarif(
         }
         for f in findings
     ]
-    catalog = [_rule_entry(rule) for rule in rules]
-    catalog.extend(_rule_entry(rule) for rule in project_rules)
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -62,7 +57,7 @@ def to_sarif(
                 "tool": {
                     "driver": {
                         "name": "repro-analysis",
-                        "rules": catalog,
+                        "rules": [_rule_entry(rule) for rule in rules],
                     }
                 },
                 "results": results,

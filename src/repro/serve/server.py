@@ -195,14 +195,8 @@ class SchedulingService(WireFrontEnd):
         run and :class:`AdmissionRejected` when the bounded queue is
         saturated or the service is draining.
         """
-        self._validate(request)
+        record = self._new_record(request)
         try:
-            self._job_counter += 1
-            record = JobRecord(
-                job_id=f"job-{self._job_counter:05d}",
-                request=request,
-                submitted_at=self.clock(),
-            )
             self.admission.offer(record)
         except AdmissionRejected as exc:
             self._job_counter -= 1
@@ -211,6 +205,16 @@ class SchedulingService(WireFrontEnd):
         self.records[record.job_id] = record
         self.metrics.record_submitted()
         return record
+
+    def _new_record(self, request: JobRequest) -> JobRecord:
+        """Validate ``request`` and give it the next local job id."""
+        self._validate(request)
+        self._job_counter += 1
+        return JobRecord(
+            job_id=f"job-{self._job_counter:05d}",
+            request=request,
+            submitted_at=self.clock(),
+        )
 
     def _validate(self, request: JobRequest) -> None:
         request.validate()
@@ -248,13 +252,7 @@ class SchedulingService(WireFrontEnd):
         requires it to land *somewhere*.  Only the router calls this;
         client submissions keep the full backpressure contract.
         """
-        self._validate(request)
-        self._job_counter += 1
-        record = JobRecord(
-            job_id=f"job-{self._job_counter:05d}",
-            request=request,
-            submitted_at=self.clock(),
-        )
+        record = self._new_record(request)
         self.admission.requeue(record)
         self.records[record.job_id] = record
         self.metrics.record_submitted()

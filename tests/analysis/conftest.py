@@ -9,13 +9,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import (
-    ALL_RULES,
-    analyze_project_source,
-    analyze_source,
-    select_rules,
-)
-from repro.analysis.rules import select_project_rules
+from repro.analysis import ALL_RULES, analyze_source, select_rules
 
 #: Virtual paths that place a fixture snippet inside a scoped package.
 SIM = "src/repro/sim/fixture.py"
@@ -38,25 +32,6 @@ def check():
     def _check(path, source, select=None):
         rules = select_rules(select) if select else ALL_RULES
         return analyze_source(path, textwrap.dedent(source), rules)
-
-    return _check
-
-
-@pytest.fixture
-def project_check():
-    """``project_check(files, select=None)`` → list of Finding.
-
-    ``files`` maps virtual paths to snippets (dedented); the whole set
-    becomes one ProjectIndex and the selected whole-program rules run
-    over it.
-    """
-
-    def _check(files, select=None):
-        project_rules = select_project_rules(select)
-        return analyze_project_source(
-            {path: textwrap.dedent(src) for path, src in files.items()},
-            project_rules,
-        )
 
     return _check
 

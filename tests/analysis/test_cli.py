@@ -31,7 +31,7 @@ def stamp(clock):
 @pytest.fixture
 def tree(tmp_path, monkeypatch):
     """A tiny analyzable tree with one DET001 violation; cwd moved there
-    so the relative ``src`` root and the default cache resolve inside it."""
+    so the relative ``src`` root resolves inside it."""
     pkg = tmp_path / "src" / "repro" / "sim"
     pkg.mkdir(parents=True)
     (pkg / "fixture.py").write_text(DIRTY, encoding="utf-8")
@@ -44,7 +44,7 @@ class TestExitCodes:
         assert main(["src"]) == 0
         out = capsys.readouterr().out
         assert "DET001" in out
-        assert "1 finding(s)" in out
+        assert out.endswith("1 finding(s): 1 file(s) scanned\n")
 
     def test_strict_run_fails_on_findings(self, tree, capsys):
         assert main(["src", "--strict"]) == 1
@@ -82,7 +82,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", [
         ["--baseline", "x"], ["--no-baseline"], ["--write-baseline"],
-        ["--exclude", "x"],
+        ["--exclude", "x"], ["--cache-dir", "x"], ["--no-cache"],
     ])
     def test_removed_flags_are_usage_errors(self, tree, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -94,14 +94,9 @@ class TestJsonOutput:
     def test_schema_keys_and_findings(self, tree, capsys):
         assert main(["src", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {
-            "version", "files_scanned", "files_parsed", "files_cached",
-            "findings", "strict",
-        }
-        assert payload["version"] == 4
+        assert set(payload) == {"version", "files_scanned", "findings", "strict"}
+        assert payload["version"] == 5
         assert payload["files_scanned"] == 1
-        assert payload["files_parsed"] == 1
-        assert payload["files_cached"] == 0
         assert payload["strict"] is False
         (finding,) = payload["findings"]
         assert finding["rule"] == "DET001"
@@ -122,8 +117,8 @@ class TestRuleSelection:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "DET001", "DET002", "DET003", "ASY001",
-            "LOCK001", "WIRE001", "EXC001", "SEED001",
+            "DET001", "DET002", "DET003", "ASY001", "LOCK001",
+            "IO001", "WIRE001", "EXC001", "SEED001", "SEED002",
         ):
             assert rule_id in out
 

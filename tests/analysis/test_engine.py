@@ -6,14 +6,13 @@ import os
 
 import pytest
 
-from repro.analysis import PROJECT_RULES, analyze_source, select_rules
+from repro.analysis import analyze_paths, analyze_source, select_rules
 from repro.analysis.engine import (
     PARSE_RULE_ID,
     Module,
     decode_source,
     iter_python_files,
 )
-from repro.analysis.run import analyze_project_paths
 from repro.analysis.suppress import line_suppressions
 from tests.analysis.conftest import OUTSIDE, SIM
 
@@ -98,15 +97,13 @@ class TestEncodingEdgeCases:
         target = tmp_path / "src" / "repro" / "sim"
         target.mkdir(parents=True)
         (target / "bom.py").write_bytes(b"\xef\xbb\xbfx = 1\n")
-        result = analyze_project_paths(
-            [tmp_path / "src"], select_rules(), PROJECT_RULES
-        )
+        result = analyze_paths([tmp_path / "src"], select_rules())
         assert result.files_scanned == 1
         assert result.findings == []
 
     def test_binary_file_reports_diagnostic_not_crash(self, tmp_path):
         (tmp_path / "junk.py").write_bytes(b"\x00\x01\x02\xff")
-        result = analyze_project_paths([tmp_path], select_rules(), PROJECT_RULES)
+        result = analyze_paths([tmp_path], select_rules())
         assert result.files_scanned == 1
         assert [f.rule for f in result.findings] == [PARSE_RULE_ID]
 
@@ -116,9 +113,7 @@ class TestEncodingEdgeCases:
         target.write_text("x = 1\n", encoding="utf-8")
         target.chmod(0)
         try:
-            result = analyze_project_paths(
-                [tmp_path], select_rules(), PROJECT_RULES
-            )
+            result = analyze_paths([tmp_path], select_rules())
         finally:
             target.chmod(0o644)
         assert result.files_scanned == 1
@@ -132,7 +127,7 @@ class TestFileIteration:
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "a.py").write_text("", encoding="utf-8")
         (tmp_path / "pkg" / "b.py").write_text("", encoding="utf-8")
-        for skipped in ("__pycache__", "quarantine", ".repro-analysis-cache", ".git"):
+        for skipped in ("__pycache__", "quarantine", ".git"):
             (tmp_path / "pkg" / skipped).mkdir()
             (tmp_path / "pkg" / skipped / "x.py").write_text("", encoding="utf-8")
         return tmp_path
@@ -218,7 +213,7 @@ class TestOutputContract:
         assert [f.line for f in findings] == [2, 3]
         assert len(set(findings)) == len(findings)
 
-    def test_render_and_baseline_key_shapes(self):
+    def test_render_and_json_shapes(self):
         src = "import time\nt = time.time()\n"
         (finding,) = analyze_source(SIM, src, select_rules("DET001"))
         assert finding.render().startswith(f"{SIM}:2:")

@@ -3,16 +3,13 @@
 This is the same gate CI and the pre-commit hook run (``python -m
 repro.analysis --strict`` over :data:`SCAN_ROOTS`), expressed as a test so
 a violation fails fast in any local pytest run — and so the analyzer
-cannot silently rot.  Both passes run: the per-file rules and the
-whole-program LOCK002 / SEED002 / WIRE002 pass (uncached — the meta-test
-must not depend on cache state).  Every finding fails it; a per-line
+cannot silently rot.  Every finding fails it; a per-line
 ``# repro: noqa RULE -- why`` is the only way to accept one (DESIGN.md §6).
 """
 
 from pathlib import Path
 
-from repro.analysis import ALL_RULES, PROJECT_RULES
-from repro.analysis.run import analyze_project_paths
+from repro.analysis import ALL_RULES, analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 #: CI's and the pre-commit hook's scan roots, in their order.
@@ -22,7 +19,7 @@ SCAN_ROOTS = [REPO_ROOT / root for root in SCAN_ROOT_NAMES]
 
 
 def test_tree_has_no_unbaselined_findings():
-    result = analyze_project_paths(SCAN_ROOTS, ALL_RULES, PROJECT_RULES)
+    result = analyze_paths(SCAN_ROOTS, ALL_RULES)
     assert result.files_scanned > 150, (
         "scan missed most of the tree — path setup broken?"
     )
