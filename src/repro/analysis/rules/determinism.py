@@ -222,13 +222,17 @@ class Det003TimeEquality(Rule):
 # ----------------------------------------------------------------------
 # SEED001 — public entry points must expose their seed
 # ----------------------------------------------------------------------
-_RNG_CONSTRUCTORS = frozenset({
-    "repro.sim.rng.stream",
-    "repro.sim.rng.pyrandom",
-    "random.Random",
-    "numpy.random.default_rng",
-    "numpy.random.SeedSequence",
-})
+#: Each RNG constructor with the keyword that names its seed argument;
+#: a positional seed comes first.  Only that argument decides whether a
+#: caller can vary the seed: ``stream(0, *names)`` forwards its labels but
+#: fixes its seed.
+_SEED_KEYWORD = {
+    "repro.sim.rng.stream": "seed",
+    "repro.sim.rng.pyrandom": "seed",
+    "random.Random": "x",
+    "numpy.random.default_rng": "seed",
+    "numpy.random.SeedSequence": "entropy",
+}
 _SEED_PARAM = re.compile(r"^(seed|seeds|rng|random_state|.*_seed|.*_rng)$")
 
 
@@ -272,13 +276,16 @@ class Seed001SeedlessEntryPoint(Rule):
             if not isinstance(node, ast.Call):
                 continue
             qualified = mod.qualified_name(node.func)
-            if qualified not in _RNG_CONSTRUCTORS:
+            if qualified not in _SEED_KEYWORD:
                 continue
-            arg_exprs = [*node.args, *(kw.value for kw in node.keywords)]
-            injected = any(
+            seed_arg = node.args[0] if node.args else next(
+                (kw.value for kw in node.keywords
+                 if kw.arg == _SEED_KEYWORD[qualified]),
+                None,
+            )
+            injected = seed_arg is not None and any(
                 isinstance(name, ast.Name) and name.id in injectable
-                for expr in arg_exprs
-                for name in ast.walk(expr)
+                for name in ast.walk(seed_arg)
             )
             if injected or has_seed_param:
                 continue

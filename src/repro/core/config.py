@@ -44,9 +44,6 @@ class TaskloopConfig:
         """Hashable PTT key: (threads, node mask bits, steal policy)."""
         return (self.num_threads, self.node_mask.bits, self.steal_policy.value)
 
-    def with_policy(self, policy: StealPolicyMode) -> "TaskloopConfig":
-        return TaskloopConfig(self.num_threads, self.node_mask, policy)
-
     def describe(self) -> str:
         return (
             f"threads={self.num_threads} nodes={self.node_mask} "

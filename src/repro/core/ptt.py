@@ -123,20 +123,6 @@ class TaskloopPTT:
                 out[threads] = stats.mean
         return out
 
-    def fastest_two(self, policy: str | None = "strict") -> tuple[tuple[int, float], tuple[int, float]]:
-        """``GetFastest``/``GetSecondFastest`` over distinct thread counts.
-
-        Returns ``((best_threads, best_time), (second_threads, second_time))``;
-        raises if fewer than two thread counts have been explored.
-        """
-        per = self.best_time_per_thread_count(policy)
-        if len(per) < 2:
-            raise ConfigurationError(
-                f"need two explored thread counts, have {sorted(per)}"
-            )
-        ranked = sorted(per.items(), key=lambda kv: (kv[1], kv[0]))
-        return ranked[0], ranked[1]
-
     def mean_time(self, key: ConfigKey) -> float | None:
         stats = self.entries.get(key)
         return stats.mean if stats is not None and stats.count else None

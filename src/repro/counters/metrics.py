@@ -15,9 +15,9 @@ Counters per taskloop execution:
   time: > 1 means memory controllers were oversubscribed on average
   (the signature of interference moldability can relieve);
 * ``peak_saturation`` — the worst per-node ratio observed;
-* ``remote_byte_fraction`` — fraction of memory traffic served by a node
-  other than the executing core's (the locality signal);
-* ``bytes_total`` — modelled DRAM traffic, for the energy model;
+* ``bytes_total`` — modelled DRAM traffic, for the energy model, and
+  ``bytes_remote``, its part served by a node other than the executing
+  core's (the locality signal);
 * ``busy_time`` / ``idle_time`` — core-seconds of work vs. idling among
   the participating threads (load-balance signal).
 """
@@ -50,15 +50,6 @@ class TaskloopCounters:
     def avg_saturation(self) -> float:
         """Time-averaged mean node saturation over the execution."""
         return self.sat_time_integral / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def remote_byte_fraction(self) -> float:
-        return self.bytes_remote / self.bytes_total if self.bytes_total > 0 else 0.0
-
-    @property
-    def utilization(self) -> float:
-        total = self.busy_time + self.idle_time
-        return self.busy_time / total if total > 0 else 0.0
 
 
 class CounterBoard:

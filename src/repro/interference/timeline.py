@@ -420,7 +420,3 @@ class AsymmetryTimeline:
     def factors(self) -> np.ndarray:
         """Current combined per-core asymmetry factors (1.0 = nominal)."""
         return self._dvfs * self._throttle * self._cotenant
-
-    @property
-    def offline_cores(self) -> list[int]:
-        return [int(c) for c in np.flatnonzero(self._offline_mask)]

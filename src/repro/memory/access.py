@@ -63,14 +63,6 @@ class AccessPattern:
     def strided(alpha: float) -> "AccessPattern":
         return AccessPattern(blocked_fraction=alpha)
 
-    @property
-    def is_blocked(self) -> bool:
-        return self.blocked_fraction == 1.0
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.blocked_fraction == 0.0
-
 
 @dataclass(slots=True)
 class ChunkAccess:

@@ -135,6 +135,3 @@ class MemoryMap:
 
     def __len__(self) -> int:
         return len(self._regions)
-
-    def total_bytes(self) -> int:
-        return sum(r.num_bytes for r in self._regions.values())

@@ -5,12 +5,13 @@ taskloop declares a *reuse potential* ``r`` in ``[0, 1]``: the fraction of
 its memory traffic that hits in the node-level cache hierarchy (L3 of the
 CCDs plus hot DRAM pages) when a chunk re-executes on the node that touched
 its data last.  The achieved saving scales with the measured last-touch
-locality of the chunk (see :mod:`repro.memory.access`):
+locality of the chunk (see :mod:`repro.memory.access`) and with the
+capacity factor of this module, which discounts ``r`` when the chunk's
+working set exceeds the node's aggregate L3 (caches cannot hold what does
+not fit).  ``_Encounter.start`` (:mod:`repro.runtime.executor`) computes
+the memory time a chunk keeps on ``node``:
 
-    effective_bytes = bytes * (1 - r * last_touch_fraction)
-
-A capacity correction discounts ``r`` when the chunk's working set exceeds
-the node's aggregate L3: caches cannot hold what does not fit.
+    mem_time * (1 - r * min(last_touch_fraction, 1) * capacity_factor(node))
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = ["CacheModel"]
 
 @dataclass(frozen=True)
 class CacheModel:
-    """Per-node aggregate cache capacity and the reuse computation.
+    """Per-node aggregate cache capacity and its capacity factor.
 
     Attributes
     ----------
@@ -58,38 +59,3 @@ class CacheModel:
         if working_set_bytes == 0:
             return 1.0
         return min(1.0, self.node_l3_bytes[node] / working_set_bytes)
-
-    def effective_reuse(
-        self,
-        node: int,
-        reuse_potential: float,
-        last_touch_fraction: float,
-        working_set_bytes: float,
-    ) -> float:
-        """Achieved reuse fraction for a chunk executing on ``node``.
-
-        Combines the workload's declared reuse potential, the measured
-        last-touch locality of the chunk's pages, and the cache-capacity
-        discount.  Result lies in ``[0, reuse_potential]``.
-        """
-        if not (0.0 <= reuse_potential <= 1.0):
-            raise MemoryModelError(f"reuse potential must lie in [0, 1], got {reuse_potential}")
-        if not (0.0 <= last_touch_fraction <= 1.0 + 1e-9):
-            raise MemoryModelError(
-                f"last-touch fraction must lie in [0, 1], got {last_touch_fraction}"
-            )
-        cap = self.capacity_factor(node, working_set_bytes)
-        return reuse_potential * min(last_touch_fraction, 1.0) * cap
-
-    def effective_bytes(
-        self,
-        node: int,
-        num_bytes: float,
-        reuse_potential: float,
-        last_touch_fraction: float,
-        working_set_bytes: float | None = None,
-    ) -> float:
-        """Memory traffic after cache filtering for a chunk on ``node``."""
-        ws = num_bytes if working_set_bytes is None else working_set_bytes
-        r = self.effective_reuse(node, reuse_potential, last_touch_fraction, ws)
-        return num_bytes * (1.0 - r)

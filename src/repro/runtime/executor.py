@@ -46,12 +46,12 @@ class _Encounter:
     constructor reads everything the encounter fixes — the work's reuse
     potential, memory fraction and contention exponent, each node's
     cache-capacity factor for the working set, the counter and trace
-    switches — and runs their range checks once, raising what the
-    per-task path raised for them (``CacheModel.effective_reuse``'s
-    :class:`MemoryModelError`, ``CoreStates.start``'s
-    :class:`SimulationError`).  Every pool core is checked against the
-    machine here too, which covers the core-range checks of every start
-    and finish: only pool cores start, and only started cores finish.
+    switches — and runs their range checks once: a reuse potential outside
+    ``[0, 1]`` raises :class:`MemoryModelError`, and the values
+    ``CoreStates.start`` checks raise its :class:`SimulationError`.  Every
+    pool core is checked against the machine here too, which covers the
+    core-range checks of every start and finish: only pool cores start,
+    and only started cores finish.
 
     :meth:`start` and :meth:`finish` then write their core's
     :class:`~repro.sim.progress.CoreStates` rows in place, exactly as
@@ -145,7 +145,8 @@ class _Encounter:
             raise MemoryModelError(
                 f"last-touch fraction must lie in [0, 1], got {last_touch}"
             )
-        # CacheModel.effective_reuse with the encounter's capacity factor
+        # achieved reuse: potential x last-touch locality x the node's
+        # cache-capacity factor (repro.memory.cache)
         reuse_eff = self.reuse * min(last_touch, 1.0) * self.capacity[node]
         body_time = chunk.body_time
         mem_eff = body_time * self.mem_frac * (1.0 - reuse_eff)

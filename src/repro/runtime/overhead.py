@@ -110,12 +110,3 @@ class OverheadLedger:
         for name in COMPONENTS[1:]:
             total += fields[name]
         return total
-
-    def merge(self, other: "OverheadLedger") -> None:
-        """Fold another ledger (e.g. one taskloop's) into this one."""
-        fields = self.__dict__
-        theirs = other.__dict__
-        for name in COMPONENTS:
-            fields[name] += theirs[name]
-        for key, value in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + value

@@ -63,30 +63,6 @@ class AppRunResult:
             return 0.0
         return sum(r.num_threads * r.elapsed for r in self.taskloops) / total
 
-    @property
-    def total_steals_remote(self) -> int:
-        return sum(r.steals_remote for r in self.taskloops)
-
-    @property
-    def total_steals_local(self) -> int:
-        return sum(r.steals_local for r in self.taskloops)
-
     def loop_times(self, uid: str) -> list[float]:
         """Elapsed times of every execution of taskloop ``uid``, in order."""
         return [r.elapsed for r in self.taskloops if r.uid == uid]
-
-    def overhead_by_component(self) -> dict[str, float]:
-        merged = OverheadLedger()
-        for r in self.taskloops:
-            merged.merge(r.overhead)
-        return {
-            "task_create": merged.task_create,
-            "dequeue": merged.dequeue,
-            "steal_local": merged.steal_local,
-            "steal_remote": merged.steal_remote,
-            "steal_fail": merged.steal_fail,
-            "barrier": merged.barrier,
-            "fork": merged.fork,
-            "select": merged.select,
-            "ptt_update": merged.ptt_update,
-        }

@@ -138,7 +138,3 @@ class Chunk:
             raise RuntimeModelError(f"chunk [{self.lo}, {self.hi}) is empty")
         if self.body_time <= 0:
             raise RuntimeModelError(f"chunk body time must be positive, got {self.body_time}")
-
-    @property
-    def num_iters(self) -> int:
-        return self.hi - self.lo

@@ -49,11 +49,6 @@ class AdmissionQueue(Generic[T]):
         return len(self._items)
 
     @property
-    def unfinished(self) -> int:
-        """Jobs admitted but not yet marked done (queued + in flight)."""
-        return self._unfinished
-
-    @property
     def draining(self) -> bool:
         return self._draining
 

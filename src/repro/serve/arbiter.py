@@ -73,10 +73,6 @@ class LeaseLedger:
     def num_nodes(self) -> int:
         return self.topology.num_nodes
 
-    @property
-    def free_nodes(self) -> list[int]:
-        return sorted(self._free)
-
     def leases(self) -> dict[str, Lease]:
         """Snapshot of all active leases."""
         return dict(self._leases)

@@ -19,8 +19,6 @@ detector to confirm the death) and reports it back through
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.errors import ServeError
 from repro.sim.rng import stream
 
@@ -40,7 +38,6 @@ class ShardFaultPlan:
         seed: int = 0,
         min_placements: int = 1,
         max_placements: int = 4,
-        scheduled: Mapping[str, int] | None = None,
     ):
         if not (0.0 <= float(crash_probability) <= 1.0):
             raise ServeError(
@@ -63,17 +60,11 @@ class ShardFaultPlan:
         self.max_placements = int(max_placements)
         self.crashed: list[str] = []
         self._decisions: dict[str, int | None] = {}
-        #: Explicit crash points (``--kill-at`` in the smoke scripts):
-        #: these override the probabilistic draw for the named shards,
-        #: so a scenario can say "shard-1 dies at placement 7" exactly.
+        #: Explicit crash points, set by a scenario after construction
+        #: (``plan.scheduled["shard-1"] = 7``): they override the
+        #: probabilistic draw for the named shards, so a scenario can say
+        #: "shard-1 dies at placement 7" exactly.
         self.scheduled: dict[str, int] = {}
-        for shard_id, point in (scheduled or {}).items():
-            if int(point) < 1:
-                raise ServeError(
-                    f"scheduled crash point for {shard_id!r} must be >= 1, "
-                    f"got {point}"
-                )
-            self.scheduled[str(shard_id)] = int(point)
 
     # ------------------------------------------------------------------
     def decide(self, shard_id: str) -> int | None:

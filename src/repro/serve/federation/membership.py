@@ -26,7 +26,6 @@ State machine (strictly one-directional except SUSPECT → ALIVE)::
       ^                                   │
       └────────── answered poll ──────────┘
 
-    ALIVE/SUSPECT ──voluntary leave──> LEFT        (clean, no migration loss)
     DEAD ──supervised respawn (new epoch)──> fresh ALIVE record
 
 Every transition is recorded in an ordered event log (logical time,
@@ -48,7 +47,6 @@ class MemberState(Enum):
     ALIVE = "alive"
     SUSPECT = "suspect"
     DEAD = "dead"
-    LEFT = "left"
 
 
 @dataclass
@@ -60,7 +58,7 @@ class MemberRecord:
     state: MemberState = MemberState.ALIVE
     missed_polls: int = 0
     joined_at: int = 0  # logical time (placements) of admission
-    ended_at: int | None = None  # logical time of death / departure
+    ended_at: int | None = None  # logical time of death
 
     @property
     def instance_id(self) -> str:
@@ -127,7 +125,7 @@ class Membership:
         self.confirm_after = confirm_after
         #: Live view: current incarnation of each member id.
         self._members: dict[str, MemberRecord] = {}
-        #: Past incarnations (dead or departed), in retirement order.
+        #: Past (dead) incarnations, in retirement order.
         self._retired: list[MemberRecord] = []
         self._events: list[MembershipEvent] = []
         # monotone counters for the metrics snapshot
@@ -136,7 +134,6 @@ class Membership:
         self.suspects_cleared = 0
         self.deaths_confirmed = 0
         self.joins = 0
-        self.leaves = 0
 
     # ------------------------------------------------------------------
     # membership changes
@@ -162,18 +159,6 @@ class Membership:
             MembershipEvent(at, member_id, epoch, "none", MemberState.ALIVE.value)
         )
         self.joins += 1
-        return record
-
-    def leave(self, member_id: str, *, at: int = 0) -> MemberRecord:
-        """Voluntary departure: clean, immediate, no failure detection."""
-        record = self._require(member_id)
-        if record.state not in (MemberState.ALIVE, MemberState.SUSPECT):
-            raise ValueError(
-                f"member {member_id!r} cannot leave from state {record.state.value}"
-            )
-        self._transition(record, MemberState.LEFT, at)
-        record.ended_at = at
-        self.leaves += 1
         return record
 
     # ------------------------------------------------------------------
@@ -225,15 +210,6 @@ class Membership:
     def get(self, member_id: str) -> MemberRecord | None:
         return self._members.get(member_id)
 
-    def _require(self, member_id: str) -> MemberRecord:
-        record = self._members.get(member_id)
-        if record is None:
-            raise KeyError(f"unknown member {member_id!r}")
-        return record
-
-    def state_of(self, member_id: str) -> MemberState:
-        return self._require(member_id).state
-
     def placeable(self) -> list[str]:
         """Members eligible for new placements (ALIVE only), sorted."""
         return sorted(
@@ -272,7 +248,9 @@ class Membership:
             "counters": {
                 "polls": self.polls,
                 "joins": self.joins,
-                "leaves": self.leaves,
+                # no member leaves voluntarily; the key stays so every
+                # snapshot keeps its shape
+                "leaves": 0,
                 "suspects_raised": self.suspects_raised,
                 "suspects_cleared": self.suspects_cleared,
                 "deaths_confirmed": self.deaths_confirmed,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ServeError
 from repro.sim.rng import stream
@@ -98,7 +98,7 @@ class ConsistentHashRing:
             bisect.insort(self._points, (position, member))
 
     def remove(self, member: str) -> None:
-        """Leave: drop every virtual node of ``member``."""
+        """Drop every virtual node of ``member`` (a confirmed death)."""
         if member not in self._members:
             raise RingError(f"ring member {member!r} is not on the ring")
         self._members.discard(member)
@@ -137,10 +137,6 @@ class ConsistentHashRing:
                 if len(seen) == len(self._members):
                     break
         return seen
-
-    def ownership(self, tenants: Sequence[str]) -> dict[str, str]:
-        """Batch :meth:`owner` over many tenants (property-test helper)."""
-        return {tenant: self.owner(tenant) for tenant in tenants}
 
     def digest(self) -> str:
         """A short deterministic digest of ``(seed, vnodes, member set)``.

@@ -275,31 +275,6 @@ class FederationRouter:
             handle.shard_id, epoch=handle.epoch, at=self.placements
         )
 
-    async def leave_shard(self, shard_id: str) -> None:
-        """Voluntary departure: clean handoff, nothing is lost.
-
-        The leaving shard's *complete* tenant state (not just the dirty
-        deltas) is archived before it stops, every displaced tenant
-        migrates warm, and its queued/running jobs are adopted by the
-        survivors.  ``migrations_dropped`` never moves on a leave — only
-        a crash can lose an un-checkpointed tenant.
-        """
-        handle = self.shards.get(shard_id)
-        if handle is None or not handle.alive:
-            raise ProtocolError(f"shard {shard_id!r} is not in the fleet")
-        if len(self.live_shards) <= 1:
-            raise ProtocolError(
-                "the last live shard cannot leave while the fleet holds jobs"
-            )
-        for doc in handle.service.tenant_state.export_all():
-            self._state_archive[(doc["tenant"], doc["benchmark"])] = doc
-        self.membership.leave(shard_id, at=self.placements)
-        orphans = await handle.kill()
-        self.ring.remove(shard_id)
-        displaced = self.affinity.forget_shard(shard_id)
-        self._migrate_tenants(displaced, count_dropped=False)
-        self._adopt_orphans(handle, orphans)
-
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
@@ -427,7 +402,7 @@ class FederationRouter:
         assert not handle.alive, "the detector confirmed a live shard dead"
         self.ring.remove(shard_id)
         displaced = self.affinity.forget_shard(shard_id)
-        self._migrate_tenants(displaced, count_dropped=True)
+        self._migrate_tenants(displaced)
         self._adopt_orphans(handle, handle.take_stashed_orphans())
         if self.supervisor is not None:
             respawned = await self.supervisor.respawn(
@@ -437,14 +412,14 @@ class FederationRouter:
             if respawned is not None:
                 self._admit(respawned)
 
-    def _migrate_tenants(self, tenants: Sequence[str], *, count_dropped: bool) -> None:
+    def _migrate_tenants(self, tenants: Sequence[str]) -> None:
         """Move each displaced tenant's archived PTT state to its new owner.
 
         A tenant with at least one archived checkpoint is imported into
         the first shard of its (post-removal) placement order and rehomed
         there — its next job starts warm.  A tenant with *no* archive
         entries (the shard died before its first checkpoint) bootstraps
-        fresh; on a crash that is tallied under ``migrations_dropped``.
+        fresh, tallied under ``migrations_dropped``.
         """
         for tenant in sorted(set(tenants)):
             docs = sorted(
@@ -453,11 +428,10 @@ class FederationRouter:
                 if key[0] == tenant
             )
             if not docs:
-                if count_dropped:
-                    self.migrations_dropped += 1
-                    self.migration_log.append(
-                        {"tenant": tenant, "to": None, "docs": 0}
-                    )
+                self.migrations_dropped += 1
+                self.migration_log.append(
+                    {"tenant": tenant, "to": None, "docs": 0}
+                )
                 continue
             order = self._placement_order(tenant)
             if not order:
@@ -475,14 +449,14 @@ class FederationRouter:
                 self.migration_log.append(
                     {"tenant": tenant, "to": target.shard_id, "docs": imported}
                 )
-            elif count_dropped:
+            else:
                 self.migrations_dropped += 1
                 self.migration_log.append(
                     {"tenant": tenant, "to": None, "docs": 0}
                 )
 
     def _adopt_orphans(self, source: ShardHandle, orphans: Sequence[Any]) -> None:
-        """Requeue a dead/leaving shard's orphans in fed-submission order."""
+        """Requeue a dead shard's orphans in fed-submission order."""
         touched: set[str] = set()
         fed_order = sorted(
             (self._local_index[(source.instance_id, r.job_id)], r) for r in orphans

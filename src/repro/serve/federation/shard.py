@@ -93,12 +93,6 @@ class ShardHandle:
         else:
             self.service.start_workers()
 
-    async def kill(self) -> list[JobRecord]:
-        """Stop on purpose (a voluntary leave): mark dead, hard-stop the
-        service, and hand the orphans straight back to the caller."""
-        self.alive = False
-        return await self.service.kill()
-
     async def crash(self) -> None:
         """Die *silently*: the orphans are stashed on the handle, and the
         router finds out only when the failure detector confirms the

@@ -93,6 +93,12 @@ class JobState(str, Enum):
         return self in (JobState.COMPLETED, JobState.FAILED)
 
 
+def _positive_int(value: Any) -> bool:
+    """A JSON integer >= 1.  ``isinstance(True, int)`` holds, so a JSON
+    boolean is excluded by name."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class JobRequest:
     """What one tenant submits: a taskloop campaign plus a lease size.
@@ -118,15 +124,13 @@ class JobRequest:
             raise ProtocolError("job request needs a non-empty 'benchmark'")
         if not self.scheduler or not isinstance(self.scheduler, str):
             raise ProtocolError("job request needs a non-empty 'scheduler'")
-        if not isinstance(self.seeds, int) or self.seeds < 1:
+        if not _positive_int(self.seeds):
             raise ProtocolError(f"'seeds' must be a positive int, got {self.seeds!r}")
-        if self.timesteps is not None and (
-            not isinstance(self.timesteps, int) or self.timesteps < 1
-        ):
+        if self.timesteps is not None and not _positive_int(self.timesteps):
             raise ProtocolError(
                 f"'timesteps' must be a positive int or null, got {self.timesteps!r}"
             )
-        if not isinstance(self.nodes, int) or self.nodes < 1:
+        if not _positive_int(self.nodes):
             raise ProtocolError(f"'nodes' must be a positive int, got {self.nodes!r}")
         if not self.tenant or not isinstance(self.tenant, str):
             raise ProtocolError("'tenant' must be a non-empty string")

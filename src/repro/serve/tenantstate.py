@@ -172,10 +172,6 @@ class TenantStateStore:
         return ckpt
 
     # ------------------------------------------------------------------
-    def export_all(self) -> list[dict]:
-        return [self._checkpoints[key].to_wire()
-                for key in sorted(self._checkpoints)]
-
     def drain_dirty(self) -> list[dict]:
         """Checkpoints changed since the last drain (heartbeat delta)."""
         docs = [

@@ -12,7 +12,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import SimulationError
 
@@ -169,12 +169,11 @@ class EventQueue:
 
 
 class Simulator:
-    """Clock + event queue + counters: shared spine of one simulated run."""
+    """Clock + event queue: shared spine of one simulated run."""
 
     def __init__(self) -> None:
         self.clock = Clock()
         self.events = EventQueue()
-        self.stats: dict[str, Any] = {}
         # reused pop_due buffer; swapped out while firing so a reentrant
         # run_due_events (an action that advances the clock) falls back to
         # a fresh list instead of clobbering the in-flight batch
@@ -202,7 +201,3 @@ class Simulator:
             return len(due)
         finally:
             self._due_buf = buf
-
-    def bump(self, counter: str, amount: float = 1.0) -> None:
-        """Increment a named statistic counter."""
-        self.stats[counter] = self.stats.get(counter, 0.0) + amount

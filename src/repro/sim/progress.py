@@ -225,10 +225,10 @@ class CoreStates:
     def set_speed_layer(self, name: str, factors: np.ndarray) -> None:
         """Set one named multiplicative speed layer (> 0 per core).
 
-        Layers compose in sorted-name order onto ``base_speed``; setting a
-        layer to all-ones keeps it (the composition of ``1.0`` factors is
-        exact), :meth:`clear_speed_layer` removes it.  Every call bumps
-        ``speed_epoch``: outstanding completion predictions are stale.
+        Layers compose in sorted-name order onto ``base_speed``; a layer
+        set to all-ones stays, and the composition of ``1.0`` factors is
+        exact.  Every call bumps ``speed_epoch``: outstanding completion
+        predictions are stale.
         """
         f = np.asarray(factors, dtype=np.float64)
         if f.shape != (self.num_cores,) or np.any(f <= 0) or not np.all(np.isfinite(f)):
@@ -237,19 +237,6 @@ class CoreStates:
             )
         self._layers[name] = f.copy()
         self._recompute_speed()
-
-    def clear_speed_layer(self, name: str) -> None:
-        """Remove a named speed layer (no-op if absent)."""
-        if self._layers.pop(name, None) is not None:
-            self._recompute_speed()
-
-    def set_noise(self, factors: np.ndarray) -> None:
-        """Apply per-core noise factors on top of base speeds (> 0).
-
-        Kept as the noise process's entry point; now a thin wrapper over
-        the ``"noise"`` layer of the choke point.
-        """
-        self.set_speed_layer("noise", factors)
 
     def set_online(self, online: np.ndarray) -> None:
         """Set the per-core online mask through the choke point.
@@ -278,9 +265,8 @@ class CoreStates:
         (``unit_speed``).
 
         With no layers and everyone online this reproduces the pre-layer
-        expressions bitwise (``base * f`` for a single layer is exactly the
-        old ``set_noise`` result), so runs without asymmetry keep their
-        bytes.
+        expressions bitwise (a single layer composes to exactly
+        ``base * f``), so runs without asymmetry keep their bytes.
         """
         f: np.ndarray | None = None
         for name in sorted(self._layers):

@@ -8,7 +8,6 @@ trace is an append-only list of typed records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 __all__ = ["TaskRecord", "TaskloopRecord", "StealRecord", "Trace"]
 
@@ -77,13 +76,6 @@ class Trace:
     def add_taskloop(self, record: TaskloopRecord) -> None:
         if self.enabled:
             self.taskloops.append(record)
-
-    def taskloop_history(self, name: str) -> Iterator[TaskloopRecord]:
-        """All executions of taskloop ``name`` in program order."""
-        return (r for r in self.taskloops if r.taskloop == name)
-
-    def remote_steal_count(self) -> int:
-        return sum(1 for s in self.steals if s.remote)
 
     def clear(self) -> None:
         self.tasks.clear()

@@ -57,11 +57,6 @@ class BitMask:
         return cls(bits=bits, width=width)
 
     # -- queries ----------------------------------------------------------
-    def contains(self, index: int) -> bool:
-        if not (0 <= index < self.width):
-            raise TopologyError(f"index {index} out of range for width {self.width}")
-        return bool(self.bits >> index & 1)
-
     def indices(self) -> list[int]:
         """Set bit positions in increasing order."""
         return [i for i in range(self.width) if self.bits >> i & 1]
@@ -79,23 +74,6 @@ class BitMask:
         return (self.bits & -self.bits).bit_length() - 1
 
     # -- algebra ----------------------------------------------------------
-    def union(self, other: "BitMask") -> "BitMask":
-        self._check_width(other)
-        return type(self)(bits=self.bits | other.bits, width=self.width)
-
-    def intersection(self, other: "BitMask") -> "BitMask":
-        self._check_width(other)
-        return type(self)(bits=self.bits & other.bits, width=self.width)
-
-    def difference(self, other: "BitMask") -> "BitMask":
-        self._check_width(other)
-        return type(self)(bits=self.bits & ~other.bits, width=self.width)
-
-    def with_index(self, index: int) -> "BitMask":
-        if not (0 <= index < self.width):
-            raise TopologyError(f"index {index} out of range for width {self.width}")
-        return type(self)(bits=self.bits | (1 << index), width=self.width)
-
     def is_subset(self, other: "BitMask") -> bool:
         self._check_width(other)
         return self.bits & ~other.bits == 0

@@ -2,8 +2,8 @@
 
 Follows the ACPI SLIT convention: local distance is 10, remote distances
 are relative to that (e.g. 32 means a remote access costs 3.2x a local
-one).  The interference model multiplies a task's memory time by
-``latency_factor(src, dst) = distance[src, dst] / 10``.
+one).  The interference model multiplies a task's memory time by the
+latency factor ``distance[src, dst] / 10``.
 
 On the Zen 4 evaluation platform of the paper, nodes within a socket talk
 over the on-package Infinity Fabric while cross-socket traffic crosses the
@@ -84,37 +84,3 @@ class DistanceMatrix:
     @property
     def num_nodes(self) -> int:
         return self.matrix.shape[0]
-
-    def distance(self, src_node: int, dst_node: int) -> float:
-        """SLIT distance between two nodes."""
-        self._check(src_node)
-        self._check(dst_node)
-        return float(self.matrix[src_node, dst_node])
-
-    def latency_factor(self, src_node: int, dst_node: int) -> float:
-        """Multiplier on memory time for accesses from ``src`` to ``dst``.
-
-        1.0 for local accesses, > 1 for remote ones.
-        """
-        return self.distance(src_node, dst_node) / LOCAL_DISTANCE
-
-    def latency_factors_from(self, src_node: int) -> np.ndarray:
-        """Vector of latency factors from ``src_node`` to every node."""
-        self._check(src_node)
-        return self.matrix[src_node] / LOCAL_DISTANCE
-
-    def nearest_nodes(self, src_node: int) -> list[int]:
-        """All node ids ordered by increasing distance from ``src_node``.
-
-        ``src_node`` itself comes first; ties break by node id, which keeps
-        the ordering deterministic for the node-mask growth policy.
-        """
-        self._check(src_node)
-        row = self.matrix[src_node]
-        # src_node wins any distance tie (degenerate matrices may assign
-        # remote nodes the local distance)
-        return sorted(range(self.num_nodes), key=lambda n: (row[n], n != src_node, n))
-
-    def _check(self, node: int) -> None:
-        if not (0 <= node < self.num_nodes):
-            raise TopologyError(f"unknown node {node} for {self.num_nodes}-node distance matrix")

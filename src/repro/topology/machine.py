@@ -119,7 +119,6 @@ class MachineTopology:
     ccds: tuple[CCD, ...]
     cores: tuple[Core, ...]
     _node_of_core: tuple[int, ...] = field(repr=False, default=())
-    _ccd_of_core: tuple[int, ...] = field(repr=False, default=())
 
     # ------------------------------------------------------------------
     # construction
@@ -230,7 +229,6 @@ class MachineTopology:
             ccds=ccds,
             cores=cores,
             _node_of_core=tuple(c.node_id for c in cores),
-            _ccd_of_core=tuple(c.ccd_id for c in cores),
         )
         topo.validate()
         return topo
@@ -309,11 +307,6 @@ class MachineTopology:
         self._check_core(core_id)
         return self._node_of_core[core_id]
 
-    def ccd_of_core(self, core_id: int) -> int:
-        """CCD (L3 group) id owning ``core_id``."""
-        self._check_core(core_id)
-        return self._ccd_of_core[core_id]
-
     def socket_of_node(self, node_id: int) -> int:
         self._check_node(node_id)
         return self.nodes[node_id].socket_id
@@ -326,18 +319,9 @@ class MachineTopology:
         self._check_node(node_id)
         return self.nodes[node_id].primary_core
 
-    def nodes_of_socket(self, socket_id: int) -> tuple[int, ...]:
-        if not (0 <= socket_id < len(self.sockets)):
-            raise TopologyError(f"unknown socket {socket_id}")
-        return self.sockets[socket_id].node_ids
-
     def same_socket(self, node_a: int, node_b: int) -> bool:
         """True when two NUMA nodes share a socket (cheaper interconnect)."""
         return self.socket_of_node(node_a) == self.socket_of_node(node_b)
-
-    def siblings_in_node(self, core_id: int) -> tuple[int, ...]:
-        """All cores in the same NUMA node as ``core_id`` (including it)."""
-        return self.cores_of_node(self.node_of_core(core_id))
 
     def core_ids(self) -> range:
         return range(self.num_cores)

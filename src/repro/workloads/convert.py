@@ -84,9 +84,6 @@ class Program:
     def is_taskloop_program(self) -> bool:
         return all(isinstance(c, Taskloop) for c in self.constructs)
 
-    def is_worksharing_program(self) -> bool:
-        return all(isinstance(c, ParallelFor) for c in self.constructs)
-
 
 def convert_for_to_taskloop(
     program: Program,

@@ -305,6 +305,42 @@ class TestSeed001SeedlessEntryPoint:
         )
         assert findings == []
 
+    def test_constant_seed_beside_forwarded_labels_flagged(self, check):
+        # only the seed argument counts: forwarding the caller's substream
+        # labels does not let the caller vary the seed
+        findings = check(
+            EXP,
+            """
+            from repro.sim.rng import stream
+
+            class Context:
+                def rng(self, *names):
+                    return stream(0, *names)
+            """,
+            select="SEED001",
+        )
+        assert [f.rule for f in findings] == ["SEED001"]
+        assert "rng" in findings[0].message
+
+    def test_guard_forwarded_seed_then_labels_ok(self, check):
+        findings = check(
+            EXP,
+            """
+            import random
+
+            import numpy as np
+            from repro.sim.rng import stream
+
+            def draw(base, label, width):
+                return (stream(base, label, str(width)),
+                        np.random.default_rng(seed=base),
+                        random.Random(x=base),
+                        np.random.SeedSequence(entropy=base))
+            """,
+            select="SEED001",
+        )
+        assert findings == []
+
     def test_guard_private_helpers_exempt(self, check):
         findings = check(
             EXP,

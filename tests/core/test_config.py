@@ -17,13 +17,6 @@ class TestTaskloopConfig:
         assert cfg.key == (16, 0b11, "strict")
         assert hash(cfg.key)
 
-    def test_with_policy(self):
-        cfg = TaskloopConfig(16, mask(0, 1), StealPolicyMode.STRICT)
-        full = cfg.with_policy(StealPolicyMode.FULL)
-        assert full.steal_policy is StealPolicyMode.FULL
-        assert full.num_threads == 16
-        assert cfg.steal_policy is StealPolicyMode.STRICT  # original untouched
-
     def test_describe(self):
         cfg = TaskloopConfig(8, mask(2), StealPolicyMode.FULL)
         text = cfg.describe()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ptt import ExecStats, PerformanceTraceTable, TaskloopPTT
+from repro.core.selection import SelectionResult, select_next_threads
 from repro.errors import ConfigurationError
 
 
@@ -59,19 +60,23 @@ class TestTaskloopPTT:
         assert t.best_time_per_thread_count()[8] == 1.5
 
     def test_fastest_two(self):
+        # Algorithm 1's GetFastest/GetSecondFastest over the PTT's per
+        # thread-count bests: 16 (1.0 s) and 8 (2.0 s), whose midpoint at
+        # granularity 4 is the next count to explore
         t = TaskloopPTT(num_nodes=4)
         t.record((32, 0xF, "strict"), 3.0)
         t.record((16, 0x3, "strict"), 1.0)
         t.record((8, 0x1, "strict"), 2.0)
-        (best_t, best_v), (second_t, second_v) = t.fastest_two()
-        assert (best_t, best_v) == (16, 1.0)
-        assert (second_t, second_v) == (8, 2.0)
+        step = select_next_threads(t.best_time_per_thread_count(), 8, k=4, g=4)
+        assert step == SelectionResult(threads=12, search_finished=False)
+        step = select_next_threads(t.best_time_per_thread_count(), 8, k=4, g=8)
+        assert step == SelectionResult(threads=16, search_finished=True)
 
     def test_fastest_two_needs_two_counts(self):
         t = TaskloopPTT(num_nodes=4)
         t.record((8, 1, "strict"), 1.0)
         with pytest.raises(ConfigurationError):
-            t.fastest_two()
+            select_next_threads(t.best_time_per_thread_count(), 8, k=3, g=8)
 
     def test_node_perf_ewma(self):
         t = TaskloopPTT(num_nodes=2, node_perf_alpha=0.5)

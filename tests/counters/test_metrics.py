@@ -26,10 +26,9 @@ class TestCounterBoard:
         assert sample.uid == "app.loop"
         assert sample.avg_saturation == pytest.approx((2.0 * 0.5 + 0.5 * 0.5) / 1.0)
         assert sample.peak_saturation == 3.0
-        assert sample.remote_byte_fraction == pytest.approx(0.4)
+        assert (sample.bytes_total, sample.bytes_remote) == (1000.0, 400.0)
         assert sample.busy_time == pytest.approx(4 * 0.5 + 8 * 0.5)
         assert sample.idle_time == pytest.approx(4 * 0.5)
-        assert sample.utilization == pytest.approx(6.0 / 8.0)
 
     def test_history_per_uid(self):
         b = CounterBoard()
@@ -71,5 +70,3 @@ class TestTaskloopCounters:
     def test_safe_ratios_on_empty(self):
         c = TaskloopCounters(uid="x")
         assert c.avg_saturation == 0.0
-        assert c.remote_byte_fraction == 0.0
-        assert c.utilization == 0.0

@@ -8,6 +8,7 @@ from repro.interference.model import InterferenceModel
 from repro.memory.bandwidth import BandwidthModel
 from repro.sim.incremental import IncrementalInterference
 from repro.sim.progress import CoreStates
+from repro.topology.distances import LOCAL_DISTANCE
 from repro.topology.presets import default_distances, tiny_two_node
 
 
@@ -48,7 +49,7 @@ class TestSlowdowns:
         topo, dist, model = machine
         states = CoreStates(4, 2)
         start(states, 0, mem_frac=1.0, weights=[0.0, 1.0])  # all bytes remote
-        lf = dist.latency_factor(0, 1)
+        lf = dist.matrix[0, 1] / LOCAL_DISTANCE
         assert model.slowdowns(states)[0] == pytest.approx(lf)
 
     def test_contention_kicks_in_at_saturation(self, machine):
@@ -72,7 +73,7 @@ class TestSlowdowns:
         topo, dist, model = machine
         states = CoreStates(4, 2)
         start(states, 0, mem_frac=0.5, weights=[0.0, 1.0])
-        expected = 0.5 + 0.5 * dist.latency_factor(0, 1)
+        expected = 0.5 + 0.5 * dist.matrix[0, 1] / LOCAL_DISTANCE
         assert model.slowdowns(states)[0] == pytest.approx(expected)
 
     def test_victim_on_saturated_node_also_slowed(self, machine):

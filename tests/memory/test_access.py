@@ -16,8 +16,8 @@ def region():
 
 class TestAccessPattern:
     def test_constructors(self):
-        assert AccessPattern.blocked().is_blocked
-        assert AccessPattern.uniform().is_uniform
+        assert AccessPattern.blocked().blocked_fraction == 1.0
+        assert AccessPattern.uniform().blocked_fraction == 0.0
         assert AccessPattern.strided(0.5).blocked_fraction == 0.5
 
     def test_bad_fraction(self):

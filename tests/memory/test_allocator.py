@@ -76,7 +76,7 @@ class TestMemoryMap:
         mm.allocate("a", 1000)
         mm.allocate("b", 2000)
         assert len(mm) == 2
-        assert mm.total_bytes() == 3000
+        assert sum(r.num_bytes for r in mm) == 3000
         assert {r.name for r in mm} == {"a", "b"}
 
     def test_bad_num_nodes(self):

@@ -1,7 +1,7 @@
 """Property-based tests for the self-healing federation.
 
-Contracts under test, for *any* seeded join/leave/crash/respawn
-sequence the strategies can draw:
+Contracts under test, for *any* seeded join/crash/respawn sequence the
+strategies can draw:
 
 * fleet-wide job conservation — ``submitted == completed + failed +
   active + queued + evicted`` — holds on every shard incarnation
@@ -43,7 +43,7 @@ from repro.topology.presets import dual_socket_small
 
 seeds = st.integers(min_value=0, max_value=2**20)
 
-# A drawn scenario: fleet size, workload, and the join/leave/crash plan.
+# A drawn scenario: fleet size, workload, and the join/crash plan.
 scenarios = st.fixed_dictionaries(
     {
         "shards": st.integers(min_value=2, max_value=3),
@@ -52,7 +52,6 @@ scenarios = st.fixed_dictionaries(
         "kill_index": st.integers(min_value=0, max_value=2),
         "kill_point": st.integers(min_value=1, max_value=4),
         "join_at": st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
-        "leave": st.booleans(),
         "fault_seed": seeds,
         "ring_seed": seeds,
     }
@@ -66,7 +65,7 @@ def _config():
 
 
 async def _run_scenario(params: dict, *, settle: bool = False) -> dict:
-    """Drive one drawn join/leave/crash/respawn sequence to its fixed point.
+    """Drive one drawn join/crash/respawn sequence to its fixed point.
 
     With ``settle``, every job is waited for until terminal before the
     next is submitted, so the fleet's state at each heartbeat is a
@@ -83,10 +82,8 @@ async def _run_scenario(params: dict, *, settle: bool = False) -> dict:
         n, dual_socket_small, config=config,
         queue_capacity=max(params["jobs"], 16), workers=1,
     )
-    plan = ShardFaultPlan(
-        0.0, seed=params["fault_seed"],
-        scheduled={kill_shard: params["kill_point"]},
-    )
+    plan = ShardFaultPlan(0.0, seed=params["fault_seed"])
+    plan.scheduled[kill_shard] = params["kill_point"]
     membership = Membership(heartbeat_every=1, suspect_after=1,
                             confirm_after=2)
     supervisor = ShardSupervisor(
@@ -99,16 +96,7 @@ async def _run_scenario(params: dict, *, settle: bool = False) -> dict:
                               membership=membership, supervisor=supervisor)
     await router.start()
 
-    # Leave a shard that is not the crash victim, and only from a fleet
-    # big enough that the last-live-shard guards can never trip even if
-    # the crash fires first.
-    leave_shard = None
-    if params["leave"] and n >= 3:
-        candidates = [s for s in sorted(router.shards) if s != kill_shard]
-        leave_shard = candidates[0]
-
     joined = False
-    left = False
     for i in range(params["jobs"]):
         if (params["join_at"] is not None and not joined
                 and router.placements >= params["join_at"]):
@@ -118,12 +106,6 @@ async def _run_scenario(params: dict, *, settle: bool = False) -> dict:
             )
             await router.join_shard(joiner)
             joined = True
-        if (leave_shard is not None and not left
-                and router.placements >= 2
-                and router.shards[leave_shard].alive
-                and len(router.live_shards) > 2):
-            await router.leave_shard(leave_shard)
-            left = True
         job = await router.submit(
             JobRequest(benchmark="matmul", timesteps=2, nodes=1,
                        tenant=f"tenant-{i % params['tenants']}")

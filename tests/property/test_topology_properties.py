@@ -1,8 +1,11 @@
 """Property-based tests for topology construction and the hwloc format."""
 
+import asyncio
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve.arbiter import LeaseLedger, NodeArbiter
 from repro.topology.distances import DistanceMatrix
 from repro.topology.hwloc import format_topology, parse_topology
 from repro.topology.machine import MachineTopology
@@ -64,14 +67,35 @@ def test_distance_matrix_classes(shape, intra, extra):
     topo = build(shape)
     inter = intra + extra
     d = DistanceMatrix.from_topology(topo, intra_socket=intra, inter_socket=inter)
-    for a in range(topo.num_nodes):
-        order = d.nearest_nodes(a)
-        assert order[0] == a
-        # distances along the nearest-order are non-decreasing
-        dists = [d.distance(a, b) for b in order]
-        assert dists == sorted(dists)
-        for b in range(topo.num_nodes):
+    grants = asyncio.run(_grants_from_each_seed(topo, d))
+    n = topo.num_nodes
+    for a in range(n):
+        # a lease grows from its seed node, nearest nodes first: the seed
+        # alone, then nested growth, never a farther node before a nearer
+        assert grants[a, 1] == {a}
+        for k in range(1, n + 1):
+            granted = grants[a, k]
+            assert len(granted) == k
+            if k < n:
+                assert granted < grants[a, k + 1]
+                outside = set(range(n)) - granted
+                assert max(d.matrix[a, b] for b in granted) <= min(
+                    d.matrix[a, b] for b in outside)
+        for b in range(n):
             expected = (
                 10 if a == b else (intra if topo.same_socket(a, b) else inter)
             )
-            assert d.distance(a, b) == expected
+            assert d.matrix[a, b] == expected
+
+
+async def _grants_from_each_seed(topo, distances):
+    """The node set NodeArbiter grants for every (seed node, size) pair
+    on an otherwise idle machine."""
+    arbiter = NodeArbiter(LeaseLedger(topo, distances))
+    grants = {}
+    for a in range(topo.num_nodes):
+        for k in range(1, topo.num_nodes + 1):
+            mask = await arbiter.acquire("job", k, preferred=a)
+            grants[a, k] = set(mask.indices())
+            await arbiter.release("job")
+    return grants

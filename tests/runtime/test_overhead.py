@@ -64,16 +64,5 @@ class TestLedger:
         assert led.total == pytest.approx(sum(range(1, len(COMPONENTS) + 1)) * 1e-6)
         assert led.counts == {name: 1 for name in COMPONENTS}
 
-    def test_merge(self):
-        a = OverheadLedger()
-        a.charge("dequeue", 1e-6)
-        b = OverheadLedger()
-        b.charge("dequeue", 2e-6)
-        b.charge("select", 4e-6)
-        a.merge(b)
-        assert a.dequeue == pytest.approx(3e-6)
-        assert a.select == pytest.approx(4e-6)
-        assert a.counts["dequeue"] == 2
-
     def test_empty_total_zero(self):
         assert OverheadLedger().total == 0.0

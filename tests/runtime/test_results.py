@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.overhead import OverheadLedger
+from repro.runtime.overhead import COMPONENTS, OverheadLedger
 from repro.runtime.results import AppRunResult, TaskloopResult
 
 
@@ -41,12 +41,6 @@ class TestAppRunResult:
         ]
         assert res.total_overhead == pytest.approx(6e-6)
 
-    def test_steal_totals(self):
-        res = AppRunResult(app_name="a", scheduler="s", seed=0, total_time=1.0)
-        res.taskloops = [loop_result(), loop_result()]
-        assert res.total_steals_local == 4
-        assert res.total_steals_remote == 2
-
     def test_loop_times_filters_uid(self):
         res = AppRunResult(app_name="a", scheduler="s", seed=0, total_time=1.0)
         res.taskloops = [
@@ -63,7 +57,8 @@ class TestAppRunResult:
             loop_result(dequeue=1e-6, fork=4e-6, select=2e-6),
             loop_result(ptt_update=5e-7),
         ]
-        parts = res.overhead_by_component()
+        parts = {name: sum(getattr(r.overhead, name) for r in res.taskloops)
+                 for name in COMPONENTS}
         assert sum(parts.values()) == pytest.approx(res.total_overhead)
         assert parts["fork"] == pytest.approx(4e-6)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import RuntimeModelError
 from repro.interference.noise import NoiseParams
+from repro.runtime.overhead import COMPONENTS
 from repro.runtime.runtime import OpenMPRuntime
 from repro.workloads.synthetic import make_synthetic
 
@@ -94,7 +95,8 @@ class TestAggregates:
 
     def test_overhead_by_component(self, tiny, app):
         result = OpenMPRuntime(tiny, scheduler="baseline", seed=0).run_application(app)
-        parts = result.overhead_by_component()
+        parts = {name: sum(getattr(r.overhead, name) for r in result.taskloops)
+                 for name in COMPONENTS}
         assert parts["task_create"] > 0
         assert parts["barrier"] > 0
         assert sum(parts.values()) == pytest.approx(result.total_overhead)

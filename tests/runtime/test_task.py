@@ -45,7 +45,6 @@ class TestChunk:
     def test_fields(self, tiny_ctx):
         w = make_work(tiny_ctx)
         c = Chunk(work=w, index=0, lo=0, hi=8, lo_frac=0.0, hi_frac=0.125, body_time=0.001)
-        assert c.num_iters == 8
         assert c.home_node == -1
         assert not c.strict and not c.stolen
 
@@ -69,4 +68,4 @@ class TestSerialPhase:
 
 def test_pattern_plumbs_through(tiny_ctx):
     w = make_work(tiny_ctx, pattern=AccessPattern.uniform())
-    assert w.pattern.is_uniform
+    assert w.pattern.blocked_fraction == 0.0

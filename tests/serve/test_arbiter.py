@@ -18,6 +18,11 @@ def _ledger():
     return LeaseLedger(topo, default_distances(topo))
 
 
+def _free(ledger):
+    """The free nodes as the metrics snapshot reports them."""
+    return sorted(n for n, owner in ledger.lease_map().items() if owner is None)
+
+
 # ----------------------------------------------------------------------
 # LeaseLedger units
 # ----------------------------------------------------------------------
@@ -25,10 +30,10 @@ def test_grant_and_release_round_trip():
     ledger = _ledger()
     mask = ledger.grant("a", 2)
     assert mask is not None and mask.count() == 2
-    assert set(ledger.free_nodes) == set(range(4)) - set(mask.indices())
+    assert set(_free(ledger)) == set(range(4)) - set(mask.indices())
     released = ledger.release("a")
     assert released.bits == mask.bits
-    assert ledger.free_nodes == [0, 1, 2, 3]
+    assert _free(ledger) == [0, 1, 2, 3]
 
 
 def test_grant_returns_none_when_insufficient():
@@ -99,8 +104,8 @@ def _check_invariants(ledger, all_nodes):
         leased.extend(lease.nodes)
     assert len(leased) == len(set(leased)), "leases overlap"
     assert set(leased) <= all_nodes, "lease outside the machine's node set"
-    assert set(ledger.free_nodes) | set(leased) == all_nodes
-    assert set(ledger.free_nodes) & set(leased) == set()
+    assert set(_free(ledger)) | set(leased) == all_nodes
+    assert set(_free(ledger)) & set(leased) == set()
 
 
 @given(data=st.data())
@@ -119,7 +124,7 @@ def test_ledger_invariants_under_random_grant_release(data):
                 st.one_of(st.none(), st.integers(0, topo.num_nodes - 1)),
                 label="preferred",
             )
-            free_before = len(ledger.free_nodes)
+            free_before = len(_free(ledger))
             job = f"job-{next_id}"
             next_id += 1
             mask = ledger.grant(job, size, preferred)
@@ -167,7 +172,7 @@ def test_arbiter_is_strict_fifo_so_no_job_starves(sizes):
     # head is never overtaken (starved) by later small ones
     assert grant_order == list(range(len(sizes)))
     assert arbiter.waiting == []
-    assert arbiter.ledger.free_nodes == [0, 1, 2, 3]
+    assert _free(arbiter.ledger) == [0, 1, 2, 3]
 
 
 def test_small_job_waits_behind_blocked_large_one():

@@ -174,7 +174,8 @@ def test_concurrent_crashes_never_take_down_the_last_shard():
     async def run():
         # both shards die at their first placement; two concurrent
         # submissions each hit one while the other's crash is in progress
-        plan = ShardFaultPlan(0.0, scheduled={"shard-0": 1, "shard-1": 1})
+        plan = ShardFaultPlan(0.0)
+        plan.scheduled.update({"shard-0": 1, "shard-1": 1})
         router = FederationRouter(_fleet(2), seed=0, shard_fault_plan=plan)
         await router.start()
         owners = {}

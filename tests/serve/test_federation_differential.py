@@ -104,7 +104,8 @@ def test_results_match_across_crashes_confirmation_and_respawn():
     async def run():
         # every first incarnation dies at its 3rd placement (the last live
         # shard excepted); respawns draw at probability 0 and stay up
-        plan = ShardFaultPlan(0.0, scheduled={f"shard-{i}": 3 for i in range(3)})
+        plan = ShardFaultPlan(0.0)
+        plan.scheduled.update({f"shard-{i}": 3 for i in range(3)})
         supervisor = ShardSupervisor(
             respawn_factory(dual_socket_small, **SHARD_OPTIONS), max_respawns=1
         )

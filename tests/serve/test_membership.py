@@ -58,13 +58,13 @@ def test_membership_suspect_then_confirm():
 
     confirmed = m.poll(["shard-0"], at=3)
     assert confirmed == []
-    assert m.state_of("shard-1") is MemberState.SUSPECT
+    assert m.get("shard-1").state is MemberState.SUSPECT
     assert m.suspects() == ["shard-1"]
     assert m.placeable() == ["shard-0"]  # suspects take no new placements
 
     confirmed = m.poll(["shard-0"], at=4)
     assert [r.member_id for r in confirmed] == ["shard-1"]
-    assert m.state_of("shard-1") is MemberState.DEAD
+    assert m.get("shard-1").state is MemberState.DEAD
     assert m.deaths_confirmed == 1
     record = m.get("shard-1")
     assert record.ended_at == 4
@@ -80,14 +80,14 @@ def test_membership_suspect_clears_on_answered_poll():
     m.register("shard-0")
     m.register("shard-1")
     m.poll(["shard-0"], at=1)
-    assert m.state_of("shard-1") is MemberState.SUSPECT
+    assert m.get("shard-1").state is MemberState.SUSPECT
     m.poll(["shard-0", "shard-1"], at=2)  # the blip passed
-    assert m.state_of("shard-1") is MemberState.ALIVE
+    assert m.get("shard-1").state is MemberState.ALIVE
     assert m.get("shard-1").missed_polls == 0
     assert m.suspects_cleared == 1
     # the counter restarts from zero: one more miss is only SUSPECT again
     m.poll(["shard-0"], at=3)
-    assert m.state_of("shard-1") is MemberState.SUSPECT
+    assert m.get("shard-1").state is MemberState.SUSPECT
     assert m.deaths_confirmed == 0
 
 
@@ -98,29 +98,13 @@ def test_membership_epoch_guard_on_rejoin():
         m.register("shard-0")  # still alive
     m.poll([], at=1)
     m.poll([], at=2)
-    assert m.state_of("shard-0") is MemberState.DEAD
+    assert m.get("shard-0").state is MemberState.DEAD
     with pytest.raises(ValueError):
         m.register("shard-0", epoch=0)  # stale incarnation
     record = m.register("shard-0", epoch=1, at=5)
     assert record.instance_id == "shard-0@e1"
-    assert m.state_of("shard-0") is MemberState.ALIVE
+    assert m.get("shard-0").state is MemberState.ALIVE
     assert len(m.describe()["retired"]) == 1
-
-
-def test_membership_leave_is_clean():
-    m = Membership(heartbeat_every=1, suspect_after=1, confirm_after=2)
-    m.register("shard-0")
-    m.register("shard-1")
-    m.leave("shard-1", at=7)
-    assert m.state_of("shard-1") is MemberState.LEFT
-    assert m.get("shard-1").ended_at == 7
-    assert m.leaves == 1
-    with pytest.raises(ValueError):
-        m.leave("shard-1")  # cannot leave twice
-    # departed members are skipped by later polls, never confirmed dead
-    assert m.poll(["shard-0"], at=8) == []
-    assert m.poll(["shard-0"], at=9) == []
-    assert m.deaths_confirmed == 0
 
 
 def test_membership_due_is_modular():
@@ -148,14 +132,14 @@ def test_supervisor_respawn_budget_and_epochs():
         first = await sup.respawn("shard-0", dead_epoch=0, at=4)
         assert first is not None
         assert first.epoch == 1 and first.instance_id == "shard-0@e1"
-        await first.kill()
+        await first.crash()
         # budget of one: the second death of the same shard stays dead
         assert not sup.can_respawn("shard-0")
         assert await sup.respawn("shard-0", dead_epoch=1, at=9) is None
         # but another shard id has its own budget
         other = await sup.respawn("shard-1", dead_epoch=0, at=9)
         assert other is not None
-        await other.kill()
+        await other.crash()
 
     asyncio.run(run())
     doc = sup.describe()
@@ -305,8 +289,8 @@ def test_moldability_restore_rejects_malformed(small):
 
 def test_shard_fault_plan_scheduled_overrides_the_draw():
     drawn = ShardFaultPlan(1.0, seed=7, min_placements=2, max_placements=6)
-    scheduled = ShardFaultPlan(1.0, seed=7, min_placements=2,
-                               max_placements=6, scheduled={"shard-0": 9})
+    scheduled = ShardFaultPlan(1.0, seed=7, min_placements=2, max_placements=6)
+    scheduled.scheduled["shard-0"] = 9
     assert scheduled.decide("shard-0") == 9
     assert scheduled.should_crash("shard-0", 9)
     assert not scheduled.should_crash("shard-0", 8)
@@ -314,8 +298,6 @@ def test_shard_fault_plan_scheduled_overrides_the_draw():
     assert scheduled.decide("shard-1") == drawn.decide("shard-1")
     assert scheduled.decisions()["shard-0"] == 9
     assert scheduled.to_wire()["scheduled"] == {"shard-0": 9}
-    with pytest.raises(ServeError):
-        ShardFaultPlan(0.0, scheduled={"shard-0": 0})
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +353,8 @@ def _healing_router(*, kill_at, jobs=8, heartbeat_every=1):
     config = _fast_config()
     shards = build_shards(3, dual_socket_small, config=config,
                           queue_capacity=max(jobs, 16), workers=1)
-    plan = ShardFaultPlan(0.0, seed=5, scheduled={"shard-1": kill_at})
+    plan = ShardFaultPlan(0.0, seed=5)
+    plan.scheduled["shard-1"] = kill_at
     membership = Membership(heartbeat_every=heartbeat_every,
                             suspect_after=1, confirm_after=2)
     supervisor = ShardSupervisor(
@@ -558,36 +541,3 @@ def test_respawned_shard_of_an_exposed_fleet_listens_at_its_endpoint():
         await router.drain()
 
     asyncio.run(run())
-
-
-def test_leave_shard_migrates_state_without_loss():
-    async def run():
-        config = _fast_config()
-        shards = build_shards(3, dual_socket_small, config=config,
-                              queue_capacity=16, workers=1)
-        membership = Membership(heartbeat_every=1, suspect_after=1,
-                                confirm_after=2)
-        router = FederationRouter(shards, seed=3, membership=membership)
-        await router.start()
-        for i in range(6):
-            await router.submit(JobRequest(benchmark="matmul", timesteps=2,
-                                           nodes=1, tenant=f"tenant-{i % 3}"))
-        # let everything finish so each tenant has warm state somewhere
-        while True:
-            states = router.job_states()
-            if states["queued"] == states["running"] == 0:
-                break
-            await asyncio.sleep(0.01)
-        victim = sorted(router.shards)[0]
-        await router.leave_shard(victim)
-        snapshot = await router.drain()
-        return victim, snapshot
-
-    victim, snapshot = asyncio.run(run())
-    membership = snapshot["membership"]
-    assert membership["detector"]["counters"]["leaves"] == 1
-    # a voluntary leave exports everything first: drops are impossible
-    assert membership["migrations_dropped"] == 0
-    assert victim not in snapshot["fleet"]["alive"]
-    states = snapshot["router"]["job_states"]
-    assert states["completed"] + states["failed"] == 6

@@ -54,6 +54,10 @@ def test_request_rejects_unknown_fields():
         {"benchmark": "ft", "nodes": 0},
         {"benchmark": "ft", "nodes": 1.5},
         {"benchmark": "ft", "tenant": ""},
+        # JSON booleans are ints to isinstance, never counts
+        {"benchmark": "ft", "seeds": True},
+        {"benchmark": "ft", "timesteps": True},
+        {"benchmark": "ft", "nodes": True},
     ],
 )
 def test_request_validation_rejects(bad):

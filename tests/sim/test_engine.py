@@ -121,12 +121,6 @@ class TestSimulator:
         assert sim.run_due_events() == 0
         assert len(sim.events) == 1
 
-    def test_bump_counters(self):
-        sim = Simulator()
-        sim.bump("steals")
-        sim.bump("steals", 2)
-        assert sim.stats["steals"] == 3
-
 
 class TestDueTolerance:
     def test_same_time_event_fires_at_large_now(self):

@@ -129,16 +129,16 @@ class TestAdvance:
 
 class TestNoise:
     def test_set_noise_scales_speed(self, states):
-        states.set_noise(np.array([0.5, 1.0, 1.0, 1.0]))
+        states.set_speed_layer("noise", np.array([0.5, 1.0, 1.0, 1.0]))
         assert states.speed[0] == 0.5
-        states.set_noise(np.ones(4))
+        states.set_speed_layer("noise", np.ones(4))
         assert states.speed[0] == 1.0
 
     def test_noise_validation(self, states):
         with pytest.raises(SimulationError):
-            states.set_noise(np.array([0.0, 1.0, 1.0, 1.0]))
+            states.set_speed_layer("noise", np.array([0.0, 1.0, 1.0, 1.0]))
         with pytest.raises(SimulationError):
-            states.set_noise(np.ones(3))
+            states.set_speed_layer("noise", np.ones(3))
 
 
 class TestSpeedLayers:
@@ -152,16 +152,16 @@ class TestSpeedLayers:
         assert states.speed[2] == 1.0
 
     def test_clear_restores_base(self, states):
+        # an all-ones layer composes exactly: the base speed comes back
         states.set_speed_layer("asym", np.full(4, 0.25))
-        states.clear_speed_layer("asym")
+        states.set_speed_layer("asym", np.ones(4))
         assert np.array_equal(states.speed, np.ones(4))
-        states.clear_speed_layer("absent")  # no-op, no error
 
     def test_noise_is_a_layer(self, states):
-        states.set_noise(np.array([0.5, 1.0, 1.0, 1.0]))
+        states.set_speed_layer("noise", np.array([0.5, 1.0, 1.0, 1.0]))
         states.set_speed_layer("asym", np.full(4, 0.5))
         assert states.speed[0] == pytest.approx(0.25)
-        states.set_noise(np.ones(4))
+        states.set_speed_layer("noise", np.ones(4))
         assert states.speed[0] == pytest.approx(0.5)
 
     def test_layer_over_base_speed_matches_set_noise_bytes(self):
@@ -169,7 +169,7 @@ class TestSpeedLayers:
         base = np.array([2.0, 1.0, 0.5])
         f = np.array([0.7, 1.1, 0.9])
         a = CoreStates(3, 1, base_speed=base)
-        a.set_noise(f)
+        a.set_speed_layer("noise", f)
         assert np.array_equal(a.speed, base * f)
 
     def test_layer_validation(self, states):
@@ -183,8 +183,8 @@ class TestSpeedLayers:
     def test_every_mutation_bumps_speed_epoch(self, states):
         e0 = states.speed_epoch
         states.set_speed_layer("a", np.ones(4))
-        states.set_noise(np.full(4, 0.5))
-        states.clear_speed_layer("a")
+        states.set_speed_layer("noise", np.full(4, 0.5))
+        states.set_speed_layer("a", np.ones(4))
         assert states.speed_epoch == e0 + 3
 
     def test_speed_div_aliases_speed_when_all_online(self, states):
@@ -202,11 +202,11 @@ class TestUnitSpeed:
     def test_layer_moves_the_flag(self, states):
         states.set_speed_layer("dvfs", np.array([1.0, 1.0, 0.5, 1.0]))
         assert not states.unit_speed
-        states.clear_speed_layer("dvfs")
+        states.set_speed_layer("dvfs", np.ones(4))
         assert states.unit_speed
-        states.set_noise(np.array([1.0, 1.25, 1.0, 1.0]))
+        states.set_speed_layer("noise", np.array([1.0, 1.25, 1.0, 1.0]))
         assert not states.unit_speed
-        states.set_noise(np.ones(4))
+        states.set_speed_layer("noise", np.ones(4))
         assert states.unit_speed
 
     def test_offline_core_clears_the_flag(self, states):
@@ -242,7 +242,7 @@ class TestOnline:
         states.set_online(np.array([True, False, True, True]))  # same mask
         assert states.online_epoch == e0 + 1
         # speed changes alone never touch online_epoch
-        states.set_noise(np.full(4, 0.5))
+        states.set_speed_layer("noise", np.full(4, 0.5))
         assert states.online_epoch == e0 + 1
 
     def test_offline_active_core_never_completes(self, states):
@@ -265,7 +265,7 @@ class TestOnline:
         states.set_online(np.array([True, False, False, True]))
         assert states.changed == [1, 2]
         states.changed.clear()
-        states.set_noise(np.full(4, 0.5))  # pure speed change: not logged
+        states.set_speed_layer("noise", np.full(4, 0.5))  # pure speed change: not logged
         assert states.changed == []
 
     def test_online_mask_validation(self, states):
@@ -308,12 +308,12 @@ class TestStalePredictionGuard:
 
     def test_advance_without_prediction_is_allowed(self, states):
         start_simple(states, 0, body=1.0)
-        states.set_noise(np.full(4, 0.5))
+        states.set_speed_layer("noise", np.full(4, 0.5))
         # no completion_times() outstanding: nothing to be stale
         states.advance(0.5, np.ones(4))
 
     def test_fresh_prediction_advances_cleanly(self, states):
         start_simple(states, 0, body=1.0)
-        states.set_noise(np.full(4, 0.5))
+        states.set_speed_layer("noise", np.full(4, 0.5))
         dt = states.completion_times(np.ones(4))[0]
         assert states.advance(dt, np.ones(4)) == [0]

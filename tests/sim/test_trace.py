@@ -17,9 +17,9 @@ def _steal(remote):
     )
 
 
-def _loop(name="app.loop", it=0):
+def _loop():
     return TaskloopRecord(
-        taskloop=name, iteration=it, num_threads=4, node_mask_bits=0b11,
+        taskloop="app.loop", iteration=0, num_threads=4, node_mask_bits=0b11,
         steal_policy="strict", start=0.0, end=2.0, overhead=0.01,
     )
 
@@ -40,17 +40,8 @@ def test_enabled_trace_records():
     t.add_steal(_steal(False))
     t.add_taskloop(_loop())
     assert len(t.tasks) == 2
-    assert t.remote_steal_count() == 1
+    assert [s.remote for s in t.steals] == [True, False]
     assert len(t.taskloops) == 1
-
-
-def test_taskloop_history_filters_by_name():
-    t = Trace(enabled=True)
-    t.add_taskloop(_loop("app.a", 0))
-    t.add_taskloop(_loop("app.b", 0))
-    t.add_taskloop(_loop("app.a", 1))
-    hist = list(t.taskloop_history("app.a"))
-    assert [r.iteration for r in hist] == [0, 1]
 
 
 def test_elapsed_property():

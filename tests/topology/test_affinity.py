@@ -21,8 +21,6 @@ class TestBitMask:
     def test_from_indices(self):
         m = BitMask.from_indices([0, 3, 5], 8)
         assert m.indices() == [0, 3, 5]
-        assert m.contains(3)
-        assert not m.contains(1)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(TopologyError):
@@ -42,15 +40,14 @@ class TestBitMask:
     def test_algebra(self):
         a = BitMask.from_indices([0, 1], 8)
         b = BitMask.from_indices([1, 2], 8)
-        assert a.union(b).indices() == [0, 1, 2]
-        assert a.intersection(b).indices() == [1]
-        assert a.difference(b).indices() == [0]
-        assert a.with_index(7).indices() == [0, 1, 7]
-        assert a.intersection(b).is_subset(a)
+        assert BitMask.from_indices([1], 8).is_subset(a)
+        assert BitMask.empty(8).is_subset(a)
+        assert a.is_subset(a)
+        assert not b.is_subset(a)
 
     def test_width_mismatch(self):
         with pytest.raises(TopologyError):
-            BitMask.full(4).union(BitMask.full(8))
+            BitMask.full(4).is_subset(BitMask.full(8))
 
     def test_str_ranges(self):
         assert str(BitMask.from_indices([0, 1, 2, 5], 8)) == "{0-2,5}"
@@ -76,11 +73,6 @@ class TestNodeMask:
         m = NodeMask.from_indices([0], 8)
         with pytest.raises(TopologyError):
             m.cores(tiny)
-
-    def test_algebra_preserves_type(self):
-        a = NodeMask.from_indices([0], 4)
-        b = NodeMask.from_indices([1], 4)
-        assert isinstance(a.union(b), NodeMask)
 
 
 class TestProcBind:

@@ -52,9 +52,9 @@ class TestQueries:
         assert zen4.node_of_core(63) == 7
 
     def test_ccd_of_core(self, zen4):
-        assert zen4.ccd_of_core(0) == 0
-        assert zen4.ccd_of_core(4) == 1
-        assert zen4.ccd_of_core(8) == 2
+        assert zen4.cores[0].ccd_id == 0
+        assert zen4.cores[4].ccd_id == 1
+        assert zen4.cores[8].ccd_id == 2
 
     def test_socket_of_node(self, zen4):
         assert zen4.socket_of_node(0) == 0
@@ -70,7 +70,7 @@ class TestQueries:
         assert zen4.primary_core_of_node(5) == 40
 
     def test_siblings(self, zen4):
-        assert zen4.siblings_in_node(10) == tuple(range(8, 16))
+        assert zen4.cores_of_node(zen4.node_of_core(10)) == tuple(range(8, 16))
 
     def test_unknown_ids_raise(self, tiny):
         with pytest.raises(TopologyError):
@@ -78,7 +78,7 @@ class TestQueries:
         with pytest.raises(TopologyError):
             tiny.cores_of_node(9)
         with pytest.raises(TopologyError):
-            tiny.nodes_of_socket(3)
+            tiny.socket_of_node(9)
 
     def test_describe_mentions_counts(self, zen4):
         text = zen4.describe()

@@ -18,7 +18,7 @@ def test_zen4_matches_paper_platform():
     assert topo.num_nodes == 8
     assert topo.num_sockets == 2
     assert all(n.num_cores == 8 for n in topo.nodes)
-    assert all(len(topo.nodes_of_socket(s)) == 4 for s in range(2))
+    assert all(len(s.node_ids) == 4 for s in topo.sockets)
     assert all(len(n.ccd_ids) == 2 for n in topo.nodes)
     assert all(len(c.core_ids) == 4 for c in topo.ccds)
     # 768 GB total memory
@@ -40,12 +40,12 @@ def test_small_presets():
 
 def test_default_distances_classes():
     d = default_distances(zen4_9354())
-    assert d.distance(0, 0) == LOCAL_DISTANCE
-    assert d.distance(0, 1) == 11
-    assert d.distance(0, 7) == 14
+    assert d.matrix[0, 0] == LOCAL_DISTANCE
+    assert d.matrix[0, 1] == 11
+    assert d.matrix[0, 7] == 14
 
 
 def test_uma_distances_trivial():
     d = default_distances(single_node(4))
     assert d.num_nodes == 1
-    assert d.latency_factor(0, 0) == 1.0
+    assert d.matrix[0, 0] == LOCAL_DISTANCE

@@ -142,15 +142,6 @@ class TestApplication:
         assert len(works) == 3
         assert len({id(w) for w in works}) == 3
 
-    def test_total_work_seconds(self):
-        a = app(loops=[spec(work_seconds=0.5), spec(name="b", work_seconds=0.25)])
-        assert a.total_work_seconds() == pytest.approx(2 * 0.75)
-
-    def test_with_timesteps(self):
-        b = app().with_timesteps(7)
-        assert b.timesteps == 7
-        assert b.name == "app"
-
     def test_work_weights_come_from_profile(self, tiny):
         ctx = RunContext.create(tiny, seed=0)
         a = app(loops=[spec(imbalance="linear", imbalance_cv=0.3)])

